@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -88,12 +89,8 @@ class RunConfig:
         # Booleans come through with explicit defaults, take them as-is.
         if hasattr(args, "normalize") and args.normalize is not None:
             config.normalize = args.normalize
-        overrides = {}
         if getattr(args, "config", None):
-            overrides = json.loads(Path(args.config).read_text())
-            for key, value in overrides.items():
-                if key not in {f.name for f in fields(cls)}:
-                    raise ValueError(f"unknown config key {key!r}")
+            for key, value in _read_config_overrides(Path(args.config)).items():
                 setattr(config, key, value)
         config.validate()
         return config
@@ -145,6 +142,40 @@ class RunConfig:
     def fingerprint(self) -> str:
         canon = json.dumps(self.analytic_params(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _allowed_types(hint: object) -> tuple[type, ...]:
+    return typing.get_args(hint) or (hint,)
+
+
+def _accepts(hint: object, value: object) -> bool:
+    """Whether a JSON value fits a RunConfig field annotation."""
+    allowed = set(_allowed_types(hint))
+    if float in allowed:
+        allowed.add(int)  # JSON writes whole numbers without a fraction
+    if isinstance(value, bool):  # bool is an int subclass; only bool fields take it
+        return bool in allowed
+    return type(value) in allowed
+
+
+def _read_config_overrides(path: Path) -> dict:
+    """Parse a --config file into RunConfig overrides, checking keys and value types."""
+    try:
+        overrides = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"malformed config {path}: {exc.msg}", exc.lineno) from None
+    if not isinstance(overrides, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in overrides.items():
+        if key not in hints:
+            raise ValueError(f"unknown config key {key!r}")
+        if not _accepts(hints[key], value):
+            expected = " or ".join(
+                "null" if t is type(None) else t.__name__ for t in _allowed_types(hints[key])
+            )
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+    return overrides
 
 
 def _announce(config: RunConfig) -> None:

@@ -11,6 +11,38 @@ clustering's ``discarded`` pool.
 
 Singleton clusters have no correlation pairs; they are retained and
 flagged so downstream duration rules can deal with them.
+
+Pruning cost. A member's score is its mean correlation to the other live
+members, as :func:`_mean_to_rest` computes it; that function is the only
+definition of the score. Rescanning every member after every removal
+costs O(m^2) per removal, O(m^3) per cluster. Instead the prune keeps,
+for each member j, a running row sum ``S[j]`` of its finite correlations
+to the live members and their count ``N[j]``, both built once from the
+cluster's Pearson matrix. A removal of member w is one O(m) vector
+update, ``S -= F[:, w]`` and ``N -= finite[:, w]``, so a cluster that
+loses k of m members costs O(m^2) to build the sums and O(m) per round.
+
+``S / N`` is only an estimate of the score: it rounds differently from
+``_mean_to_rest``. Let u be the unit roundoff and ``T[j]`` the exact sum
+``S[j]`` stands for. Every |r| <= 1, so every partial sum is at most m in
+magnitude, and ``S[j]`` went through at most m - 1 additions and k
+subtractions, each rounding by at most u * m: ``|S[j] - T[j]| <= (m + k)
+* m * u``. Dividing adds u. ``_mean_to_rest`` averages at most m values,
+so it is within (m + 1) * u of ``T[j] / N[j]``. Hence every estimate is
+within ``delta = ((m + k) * m / N_min + m + 2) * u`` of its score, with
+``N_min`` the smallest live count. The code uses machine epsilon (2u) for
+u, which also covers the second-order terms.
+
+Each round therefore takes the smallest estimate ``lo`` and scores, with
+``_mean_to_rest``, only the candidates whose estimate is at most
+``lo + 2 * delta``. The worst member w* (lowest score, ties to the lowest
+observation index) is always a candidate: ``S/N[w*] <= score[w*] + delta
+<= score[l] + delta <= lo + 2 * delta``, where l holds ``lo``, and so is
+every member tied with it. The pick and the stop test (worst score >=
+the floor) are then the ones the full rescan makes, so removals, their
+order, statuses and final means are identical to it. A member with no
+valid pair left (``N == 0``) scores -inf exactly; such members go first,
+lowest observation index first.
 """
 
 from __future__ import annotations
@@ -203,6 +235,49 @@ def _masked_mean(R: np.ndarray, current: list[int]) -> float | None:
     return float(vals.mean())
 
 
+def _prune(R: np.ndarray, members: tuple[int, ...], member_min: float) -> tuple[list[int], list[int]]:
+    """Remove the worst member while its score is below ``member_min``.
+
+    Returns the surviving positions (ascending) and the removed observation
+    indices in removal order. See the module docstring for why scoring only
+    the candidates within ``2 * delta`` of the running-sum minimum finds the
+    same member as scoring every live member.
+    """
+    m = len(members)
+    finite = np.isfinite(R)
+    F = np.where(finite, R, 0.0)
+    S = F.sum(axis=1)
+    N = finite.sum(axis=1)
+    live = np.ones(m, dtype=bool)
+    current = list(range(m))
+    removed: list[int] = []
+    eps = np.finfo(np.float64).eps
+    while len(current) >= 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            approx = np.where(N > 0, S / N, -np.inf)
+        approx[~live] = np.inf
+        lo = approx.min()
+        if lo == -np.inf:
+            # N is exact, so every such member scores -inf: the lowest
+            # observation index among them is the worst.
+            candidates = [min(np.flatnonzero(approx == lo), key=members.__getitem__)]
+        else:
+            delta = ((m + len(removed)) * m / N[live].min() + m + 2) * eps
+            candidates = np.flatnonzero(approx <= lo + 2.0 * delta)
+        worst_score, worst_pos = min(
+            ((_mean_to_rest(R, current, int(p)), int(p)) for p in candidates),
+            key=lambda s: (s[0], members[s[1]]),
+        )
+        if worst_score >= member_min:
+            break
+        live[worst_pos] = False
+        current.remove(worst_pos)
+        removed.append(members[worst_pos])
+        S -= F[:, worst_pos]
+        N -= finite[:, worst_pos]
+    return current, removed
+
+
 def apply_consistency(
     clustering: Clustering,
     dataset: Dataset | np.ndarray,
@@ -248,8 +323,7 @@ def apply_consistency(
 
         vectors = descriptors[list(members)]
         R = pairwise_pearson_matrix(vectors)
-        positions = list(range(len(members)))
-        mean_r = _masked_mean(R, positions)
+        mean_r = _masked_mean(R, list(range(len(members))))
 
         if mean_r is not None and mean_r >= thresholds.robust_mean:
             surviving.append(members)
@@ -282,15 +356,7 @@ def apply_consistency(
         # Middle band (or no valid pair at all): prune worst-first until every
         # remaining member clears the floor. Ties go to the smallest
         # observation index so the loop is order-free and deterministic.
-        current = positions[:]
-        removed: list[int] = []
-        while len(current) >= 2:
-            scores = [(_mean_to_rest(R, current, p), p) for p in current]
-            worst_score, worst_pos = min(scores, key=lambda s: (s[0], members[s[1]]))
-            if worst_score >= thresholds.member_min:
-                break
-            current.remove(worst_pos)
-            removed.append(members[worst_pos])
+        current, removed = _prune(R, members, thresholds.member_min)
 
         final_mean = _masked_mean(R, current) if len(current) >= 2 else None
         if len(current) >= 2 and final_mean is not None and final_mean >= thresholds.reject_mean:

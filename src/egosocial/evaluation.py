@@ -28,7 +28,7 @@ from .clustering import (
     spectral,
 )
 from .consistency import ConsistencyThresholds, apply_consistency
-from .ingest import Dataset, ObservationKey
+from .ingest import Dataset, IngestError, ObservationKey, _iter_lines, _record
 
 UNKNOWN_LABEL = "unknown"
 
@@ -302,16 +302,27 @@ def render_eval_table(results: Mapping[str, MethodEvaluation]) -> str:
     return "\n".join([fmt(headers), sep] + [fmt(r) for r in rows]) + "\n"
 
 
+_TRUTH_FIELDS = ("wearer_id", "image_id", "face_index", "label")
+
+
 def parse_ground_truth(text: str) -> GroundTruth:
     """Read label records: one JSON object per line with wearer, image, face, label."""
     labels: dict[ObservationKey, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rec = json.loads(line)
-        key = (rec["wearer_id"], rec["image_id"], int(rec["face_index"]))
-        labels[key] = str(rec["label"])
+    for line_no, line in _iter_lines(text):
+        rec = _record(line, line_no)
+        try:
+            wearer, image = rec["wearer_id"], rec["image_id"]
+            face, label = rec["face_index"], rec["label"]
+        except KeyError:
+            missing = [f for f in _TRUTH_FIELDS if f not in rec]
+            raise IngestError(f"missing fields {missing}", line_no) from None
+        if not (isinstance(wearer, str) and isinstance(image, str)):
+            raise IngestError("wearer_id and image_id must be strings", line_no)
+        try:
+            face = int(face)
+        except (TypeError, ValueError):
+            raise IngestError(f"face_index must be an integer, got {face!r}", line_no) from None
+        labels[(wearer, image, face)] = str(label)
     return GroundTruth(labels=labels)
 
 

@@ -18,7 +18,7 @@ from datetime import date, datetime, timedelta
 from typing import Iterable, Sequence
 
 from .clustering import Clustering
-from .ingest import Dataset, _parse_day, _parse_timestamp
+from .ingest import Dataset, IngestError, _iter_lines, _parse_day, _parse_timestamp, _record
 
 
 @dataclass(frozen=True)
@@ -168,21 +168,31 @@ def serialize_interactions(interactions: Iterable[Interaction]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_INTERACTION_FIELDS = ("wearer_id", "person_cluster_id", "day", "start", "end", "observation_count")
+
+
 def parse_interactions(text: str) -> tuple[Interaction, ...]:
+    """Read the line format :func:`serialize_interactions` writes."""
     out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rec = json.loads(line)
-        out.append(
-            Interaction(
-                wearer_id=rec["wearer_id"],
-                person_cluster_id=int(rec["person_cluster_id"]),
-                day=_parse_day(rec["day"], None),
-                start=_parse_timestamp(rec["start"], None),
-                end=_parse_timestamp(rec["end"], None),
-                observation_count=int(rec["observation_count"]),
+    for line_no, line in _iter_lines(text):
+        rec = _record(line, line_no)
+        missing = [f for f in _INTERACTION_FIELDS if f not in rec]
+        if missing:
+            raise IngestError(f"missing fields {missing}", line_no)
+        day = _parse_day(rec["day"], line_no)
+        start = _parse_timestamp(rec["start"], line_no)
+        end = _parse_timestamp(rec["end"], line_no)
+        try:
+            out.append(
+                Interaction(
+                    wearer_id=str(rec["wearer_id"]),
+                    person_cluster_id=int(rec["person_cluster_id"]),
+                    day=day,
+                    start=start,
+                    end=end,
+                    observation_count=int(rec["observation_count"]),
+                )
             )
-        )
+        except (TypeError, ValueError) as exc:
+            raise IngestError(str(exc), line_no) from None
     return tuple(out)

@@ -171,3 +171,41 @@ def traits_tally(realized_events, coverage_by_day):
     ratios = [m / p for m, p in zip(per_minutes, per_persons) if p > 0]
     out["minutes_per_person"] = sum(ratios) / len(ratios)
     return out
+
+
+def naive_prune(R: np.ndarray, members, member_min: float):
+    """Consistency prune by full rescan: rescore every live member each round.
+
+    ``R`` is the cluster's Pearson matrix (NaN where a pair is undefined),
+    ``members`` the observation indices of its rows. While the member with
+    the lowest mean correlation to the rest (ties to the lowest observation
+    index) scores below ``member_min``, it is removed. A member with no
+    defined pair left scores -inf. A score is the float64 mean of the
+    member's defined correlations to the other live members, taken in
+    position order: the same arithmetic as the package's per-member score,
+    so verdicts can be compared exactly.
+
+    Returns (removed observation indices in removal order, surviving
+    positions, mean of the survivors' defined pairs or None).
+    """
+    current = list(range(len(members)))
+    removed = []
+    while len(current) >= 2:
+        sub = R[np.ix_(current, current)]
+        defined = np.isfinite(sub)
+        np.fill_diagonal(defined, False)
+        worst = None
+        for i, p in enumerate(current):
+            row = sub[i][defined[i]]
+            score = float(row.mean()) if row.size else -math.inf
+            if worst is None or (score, members[p]) < (worst[0], members[worst[1]]):
+                worst = (score, p)
+        if worst[0] >= member_min:
+            break
+        current.remove(worst[1])
+        removed.append(members[worst[1]])
+    pairs = [
+        R[a, b] for i, a in enumerate(current) for b in current[i + 1 :] if math.isfinite(R[a, b])
+    ]
+    final_mean = float(np.mean(pairs)) if len(current) >= 2 and pairs else None
+    return removed, current, final_mean

@@ -296,6 +296,77 @@ def test_unknown_config_key_rejected(tmp_path, synth_dir, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+def _drop_field(src: Path, dst: Path, index: int, field: str) -> Path:
+    lines = src.read_text().splitlines()
+    record = json.loads(lines[index])
+    del record[field]
+    lines[index] = json.dumps(record)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def test_truth_missing_field_rejected_with_line(tmp_path, synth_dir, capsys):
+    bad = _drop_field(synth_dir / "truth.jsonl", tmp_path / "truth.jsonl", 2, "face_index")
+    rc = main(
+        [
+            "pipeline",
+            "--obs",
+            str(synth_dir / "observations.jsonl"),
+            "--truth",
+            str(bad),
+            "--out",
+            str(tmp_path / "o"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.endswith("error: line 3: missing fields ['face_index']\n")
+
+
+def test_interactions_missing_field_rejected_with_line(tmp_path, synth_dir, capsys):
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["pipeline", "--obs", obs, "--out", str(tmp_path / "pipe")]) == 0
+    bad = _drop_field(
+        tmp_path / "pipe" / "interactions.jsonl", tmp_path / "inter.jsonl", 0, "person_cluster_id"
+    )
+    capsys.readouterr()
+    rc = main(["profile", "--obs", obs, "--interactions", str(bad), "--out", str(tmp_path / "p")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.endswith("error: line 1: missing fields ['person_cluster_id']\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"cut_threshold": "0.9"}', "config key 'cut_threshold' must be float, got '0.9'"),
+        ('{"normalize": 1}', "config key 'normalize' must be bool, got 1"),
+        ('{"k": 2.5}', "config key 'k' must be int or null, got 2.5"),
+        ('{"cut_threshold": 0.9,\n "k": }', "line 2: malformed config"),
+        ("[0.9]", "must hold a JSON object"),
+    ],
+)
+def test_bad_config_values_rejected(tmp_path, synth_dir, capsys, text, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    rc = main(
+        [
+            "pipeline",
+            "--obs",
+            str(synth_dir / "observations.jsonl"),
+            "--config",
+            str(cfg),
+            "--out",
+            str(tmp_path / "o"),
+        ]
+    )
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert message in err[0]
+
+
 def test_defaults_announced_on_stderr(synth_dir, tmp_path, capsys):
     main(
         [

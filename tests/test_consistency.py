@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import egosocial.consistency as consistency
 from conftest import dataset_from_matrix
 from egosocial.clustering import clustering_from_clusters
 from egosocial.consistency import (
@@ -21,7 +22,7 @@ from egosocial.consistency import (
     pairwise_pearson_matrix,
     pearson,
 )
-from oracles import pearson_highprec
+from oracles import naive_prune, pearson_highprec
 
 
 # --- pearson -----------------------------------------------------------------
@@ -298,3 +299,92 @@ def test_threshold_invariants_enforced():
         ConsistencyThresholds(robust_mean=0.4, reject_mean=0.8)
     with pytest.raises(ValueError):
         ConsistencyThresholds(member_min=1.5)
+
+
+# --- prune loop against the full-rescan oracle ---------------------------------
+
+
+def _graded_members(rng, loadings: np.ndarray) -> np.ndarray:
+    """Rows sharing one direction with the given loadings: r_ij ~ a_i * a_j."""
+    shared = rng.standard_normal(128)
+    noise = rng.standard_normal((len(loadings), 128))
+    return loadings[:, None] * shared + np.sqrt(1.0 - loadings**2)[:, None] * noise
+
+
+def _expected_verdict(R, members, thresholds):
+    removed, kept, final_mean = naive_prune(R, members, thresholds.member_min)
+    if len(kept) >= 2 and final_mean is not None and final_mean >= thresholds.reject_mean:
+        return STATUS_PRUNED, tuple(removed), final_mean
+    return STATUS_REJECTED, tuple(members), final_mean
+
+
+def _verdict_of_single_cluster(X, thresholds):
+    dataset = dataset_from_matrix(X)
+    _, report = apply_consistency(_single_cluster(dataset), dataset, thresholds)
+    v = report.verdicts[0]
+    return v.status, v.removed_members, v.final_mean_pairwise_r
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 60),
+    n_duplicates=st.integers(0, 8),
+    n_constant=st.integers(0, 3),
+    n_near_ties=st.integers(0, 3),
+    member_min=st.sampled_from([0.5, 0.7, 0.8]),
+)
+@settings(max_examples=150, deadline=None)
+def test_prune_matches_rescan_oracle(seed, m, n_duplicates, n_constant, n_near_ties, member_min):
+    rng = np.random.default_rng(seed)
+    X = _graded_members(rng, rng.uniform(0.55, 0.98, m))
+    for _ in range(n_duplicates):
+        i, j = rng.integers(0, m, 2)
+        X[i] = X[j]
+    for _ in range(n_near_ties):
+        # Scores that differ from a neighbour's only in the last few digits.
+        i, j = rng.integers(0, m, 2)
+        X[i] = X[j] + 1e-12 * rng.standard_normal(128)
+    for i in rng.integers(0, m, n_constant):
+        X[i] = 0.25
+    thresholds = ConsistencyThresholds(member_min=member_min)
+    mean_r = cluster_mean_correlation(X)
+    assume(mean_r is None or thresholds.reject_mean <= mean_r < thresholds.robust_mean)
+
+    R = pairwise_pearson_matrix(X)
+    expected = _expected_verdict(R, tuple(range(m)), thresholds)
+    assert _verdict_of_single_cluster(X, thresholds) == expected
+
+
+def _eight_hundred_members() -> np.ndarray:
+    """800 distinct members: 500 tight ones and 300 weak ones the prune removes."""
+    rng = np.random.default_rng(800)
+    loadings = np.concatenate([rng.uniform(0.86, 0.97, 500), rng.uniform(0.2, 0.8, 300)])
+    rng.shuffle(loadings)
+    return _graded_members(rng, loadings)
+
+
+def test_eight_hundred_member_prune_matches_oracle():
+    X = _eight_hundred_members()
+    thresholds = ConsistencyThresholds()
+    assert thresholds.reject_mean <= cluster_mean_correlation(X) < thresholds.robust_mean
+    expected = _expected_verdict(pairwise_pearson_matrix(X), tuple(range(800)), thresholds)
+    assert expected[0] == STATUS_PRUNED
+    assert 200 <= len(expected[1]) <= 400
+    assert _verdict_of_single_cluster(X, thresholds) == expected
+
+
+def test_prune_scores_few_members_per_removal(monkeypatch):
+    """A full rescan scores every live member each round, about m per removal."""
+    calls = 0
+    original = consistency._mean_to_rest
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(consistency, "_mean_to_rest", counted)
+    status, removed, _ = _verdict_of_single_cluster(_eight_hundred_members(), ConsistencyThresholds())
+    assert status == STATUS_PRUNED
+    assert len(removed) >= 200
+    assert calls <= 3 * (len(removed) + 1)
