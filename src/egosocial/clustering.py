@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, FaceObservation
+from .ingest import Dataset, FaceObservation, IngestError, _iter_lines, _record
 
 METRICS = ("euclidean", "cosine", "correlation")
 
@@ -229,10 +229,61 @@ def _zero_identical_rows(D: np.ndarray, X: np.ndarray, floor: float) -> None:
             D[i, j] = 0.0
 
 
-def _symmetrize(D: np.ndarray) -> np.ndarray:
-    out = np.triu(D, 1)
-    out = out + out.T
-    return out
+# Rows per block in the blocked n x n passes below: a block's temporaries stay
+# a small fraction of the matrix, and a transposed block copy stays in cache.
+_TILE = 256
+
+
+def _mirror_upper(D: np.ndarray) -> None:
+    """Copy the strict upper triangle onto the lower one in place; zero the diagonal."""
+    n = D.shape[0]
+    for lo in range(0, n, _TILE):
+        hi = min(lo + _TILE, n)
+        tile = D[lo:hi, lo:hi]
+        below = np.tril_indices(hi - lo, -1)
+        tile[below] = tile.T[below]
+        D[hi:, lo:hi] = D[lo:hi, hi:].T
+    np.fill_diagonal(D, 0.0)
+
+
+def _euclidean_upper(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between rows of X, valid on and above the diagonal.
+
+    One Gram matrix is the only n x n buffer: each block of rows is turned
+    into distances in place, over the columns from its first row on.
+    """
+    n = X.shape[0]
+    r = np.einsum("ij,ij->i", X, X)
+    D = X @ X.T
+    for lo in range(0, n, _TILE):
+        hi = min(lo + _TILE, n)
+        d2 = D[lo:hi, lo:]
+        rr = r[lo:hi, None] + r[None, lo:]
+        d2 *= -2.0
+        d2 += rr
+        np.maximum(d2, 0.0, out=d2)
+        # The Gram expansion cancels catastrophically for near-duplicates;
+        # recompute those entries directly so tiny distances stay exact.
+        rr += 1.0
+        rr *= 1e-12
+        suspect = d2 <= rr
+        suspect[:, : hi - lo][np.tril_indices(hi - lo)] = False
+        ii, jj = np.nonzero(suspect)
+        for start in range(0, ii.size, 65536):
+            si = ii[start : start + 65536]
+            sj = jj[start : start + 65536]
+            diff = X[si + lo] - X[sj + lo]
+            d2[si, sj] = np.einsum("ij,ij->i", diff, diff)
+        np.sqrt(d2, out=d2)
+    return D
+
+
+def _one_minus_gram(U: np.ndarray) -> np.ndarray:
+    """1 - clip(U U^T, -1, 1) for unit rows, in the Gram buffer itself."""
+    D = U @ U.T
+    np.clip(D, -1.0, 1.0, out=D)
+    np.subtract(1.0, D, out=D)
+    return D
 
 
 def compute_distances(
@@ -250,6 +301,13 @@ def compute_distances(
     Zero vectors under cosine, constant vectors under correlation, and zero
     vectors under normalization raise :class:`DegenerateVectorError` naming
     the observation.
+
+    The result is the only n x n float64 buffer: the Gram matrix is turned
+    into distances in place, 256 rows at a time, and the upper triangle is
+    then copied onto the lower one block by block. Peak memory is therefore
+    about one dense matrix plus O(256 * n) of temporaries and the (n, 128)
+    descriptor copies: 1.33x n*n*8 bytes measured at n = 2,000, closer to 1x
+    as n grows.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -266,18 +324,7 @@ def compute_distances(
         X = X / norms[:, None]
 
     if metric == "euclidean":
-        d2 = _sq_dists(X, X)
-        # The Gram expansion cancels catastrophically for near-duplicates;
-        # recompute those entries directly so tiny distances stay exact.
-        r = np.einsum("ij,ij->i", X, X)
-        suspect = d2 <= (r[:, None] + r[None, :] + 1.0) * 1e-12
-        ii, jj = np.nonzero(suspect)
-        for lo in range(0, ii.size, 65536):
-            si = ii[lo : lo + 65536]
-            sj = jj[lo : lo + 65536]
-            diff = X[si] - X[sj]
-            d2[si, sj] = np.einsum("ij,ij->i", diff, diff)
-        D = np.sqrt(d2)
+        D = _euclidean_upper(X)
     elif metric == "cosine":
         norms = np.sqrt(np.einsum("ij,ij->i", X, X))
         bad = np.flatnonzero(norms == 0.0)
@@ -285,8 +332,7 @@ def compute_distances(
             raise DegenerateVectorError(
                 f"cosine distance undefined for zero descriptor: {names[int(bad[0])]}"
             )
-        U = X / norms[:, None]
-        D = 1.0 - np.clip(U @ U.T, -1.0, 1.0)
+        D = _one_minus_gram(X / norms[:, None])
         _zero_identical_rows(D, X, 1e-12)
     else:  # correlation
         centered = X - X.mean(axis=1, keepdims=True)
@@ -296,29 +342,133 @@ def compute_distances(
             raise DegenerateVectorError(
                 f"correlation undefined for constant descriptor: {names[int(bad[0])]}"
             )
-        U = centered / norms[:, None]
-        D = 1.0 - np.clip(U @ U.T, -1.0, 1.0)
+        D = _one_minus_gram(centered / norms[:, None])
         _zero_identical_rows(D, X, 1e-12)
 
-    D = _symmetrize(D)
-    np.fill_diagonal(D, 0.0)
+    _mirror_upper(D)
     return DistanceMatrix(entries=D, metric_tag=metric)
 
 
 def _check_distance_matrix(dist: DistanceMatrix) -> None:
+    """Reject non-finite, negative, asymmetric or non-zero-diagonal matrices.
+
+    The range tests are two reductions (min is NaN if any entry is), and
+    symmetry compares each 256 x 256 tile above the diagonal with its
+    mirror, so no n x n temporary is made. When several faults are present
+    the message names the first of the order above.
+    """
     E = dist.entries
-    if not np.all(np.isfinite(E)):
+    n = E.shape[0]
+    if n == 0:
+        return
+    lowest, highest = E.min(), E.max()
+    if not (-np.inf < lowest and highest < np.inf):
         raise ValueError("distance matrix contains non-finite entries")
-    if np.any(E < 0):
+    if lowest < 0:
         raise ValueError("distance matrix contains negative entries")
-    if not np.array_equal(E, E.T):
-        raise ValueError("distance matrix is not symmetric")
+    for lo in range(0, n, _TILE):
+        for lo2 in range(lo, n, _TILE):
+            tile = E[lo : lo + _TILE, lo2 : lo2 + _TILE]
+            mirror = E[lo2 : lo2 + _TILE, lo : lo + _TILE]
+            if not np.array_equal(tile, mirror.T):
+                raise ValueError("distance matrix is not symmetric")
     if np.any(np.diagonal(E) != 0.0):
         raise ValueError("distance matrix diagonal must be zero")
 
 
 # ---------------------------------------------------------------------------
 # average-linkage agglomerative clustering
+
+
+def _cut_components(E: np.ndarray, threshold: float) -> list[np.ndarray]:
+    """Connected components of the graph with an edge wherever E <= threshold.
+
+    Breadth-first search that scans each row once, when its node is in the
+    frontier, so the whole labelling is one pass over E. Components come
+    out ordered by their smallest member, members ascending.
+    """
+    n = E.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    components = []
+    for seed in range(n):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        frontier = np.array([seed])
+        found = [frontier]
+        while frontier.size:
+            reach = np.zeros(n, dtype=bool)
+            for lo in range(0, frontier.size, _TILE):
+                reach |= (E[frontier[lo : lo + _TILE]] <= threshold).any(axis=0)
+            frontier = np.flatnonzero(reach & ~seen)
+            seen[frontier] = True
+            found.append(frontier)
+        components.append(np.sort(np.concatenate(found)))
+    return components
+
+
+def _merge_loop(D: np.ndarray, cut: float) -> list[list[int]]:
+    """Greedy average-linkage merges on one matrix, which is overwritten.
+
+    Returns the member lists (indices into D) of the clusters left when the
+    smallest average exceeds ``cut``. Dead slots and the diagonal hold +inf,
+    so the Lance-Williams row of a merge already holds +inf wherever no live
+    partner is, and plain row and column writes keep D symmetric.
+    """
+    m = D.shape[0]
+    np.fill_diagonal(D, np.inf)
+    sizes = np.ones(m, dtype=np.int64)
+    members: list[list[int] | None] = [[i] for i in range(m)]
+
+    # Cached per-row minima; argmin's first-occurrence rule gives the
+    # smallest partner id, which realizes the lexicographic tie-break.
+    # Dead rows hold (+inf, -1), so they never win and are never stale.
+    row_arg = D.argmin(axis=1)
+    row_min = D[np.arange(m), row_arg]
+
+    n_active = m
+    while n_active > 1:
+        a = int(row_min.argmin())
+        if not row_min[a] <= cut:
+            break
+        b = int(row_arg[a])
+        if b < a:
+            a, b = b, a
+
+        sa, sb = int(sizes[a]), int(sizes[b])
+        merged_row = (sa * D[a] + sb * D[b]) / (sa + sb)
+        D[a] = merged_row
+        D[:, a] = merged_row
+        D[b] = np.inf
+        D[:, b] = np.inf
+
+        sizes[a] = sa + sb
+        row_min[b] = np.inf
+        row_arg[b] = -1
+        members[a].extend(members[b])  # type: ignore[union-attr]
+        members[b] = None
+        n_active -= 1
+        if n_active == 1:
+            break
+
+        # Rescan row a and every row whose cached partner was a or b.
+        stale = row_arg == a
+        stale |= row_arg == b
+        stale[a] = True
+        ks = np.flatnonzero(stale)
+        args = D[ks].argmin(axis=1)
+        row_arg[ks] = args
+        row_min[ks] = D[ks, args]
+        # Column a changed. A rescanned row already agrees with it, so this
+        # update is a no-op there, and dead rows see +inf against +inf.
+        change = merged_row == row_min
+        change &= row_arg > a
+        change |= merged_row < row_min
+        change[a] = False
+        np.minimum(row_min, merged_row, out=row_min)
+        row_arg[change] = a
+
+    return [ms for ms in members if ms is not None]
 
 
 def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
@@ -329,6 +479,32 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     merged cluster keeps the smaller of the two slot ids, and distance ties
     break on the smallest (id, id) pair, so runs are reproducible
     bit-for-bit and independent of input order.
+
+    The merge loop runs once per connected component of the graph with an
+    edge wherever ``d <= cut * (1 + kappa)``, on that component's own
+    submatrix. This gives exactly the merges of one loop over the whole
+    matrix:
+
+    * Every pair in different components is above ``cut * (1 + kappa)``,
+      and the average of values above a bound is above it too, so no
+      cluster distance across components can reach the cut. Such distances
+      only ever decide that the loop stops, which each component's loop
+      decides by itself.
+    * Merges in one component leave the cluster distances of every other
+      component untouched. The global loop's next merge is the smallest
+      (distance, id, id) over all components; the per-component loops
+      perform the same merges, in component order instead of interleaved,
+      and the slot order inside a submatrix is the global order, so each
+      tie breaks the same way.
+
+    ``kappa`` covers the rounding of the computed averages. A merge row is
+    ``fl(fl(fl(sa*x) + fl(sb*y)) / (sa + sb))`` with exact integer sizes, so
+    it is at least ``(1 - u)^3`` times the exact weighted mean of ``x`` and
+    ``y`` (``u = 2**-53``). A cluster distance is at most n - 1 merges deep,
+    and forming the threshold ``cut * (1 + kappa)`` rounds twice more, so a
+    cross-component value is at least ``cut * (1 + kappa) * (1 - u)^(3n-1)``,
+    which is above ``cut`` for ``kappa = 4 * n * u`` (then
+    ``kappa * (1 - 3nu) > 3nu`` for every n < 2**49).
     """
     _check_distance_matrix(dist)
     if params.metric != dist.metric_tag:
@@ -340,75 +516,16 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
         raise ValueError("cannot cluster an empty distance matrix")
 
     params_used = {"method": "ahc", **params.to_dict()}
-    if n == 1:
-        return clustering_from_clusters([[0]], 1, "ahc", params_used)
-
-    D = dist.entries.astype(np.float64, copy=True)
-    np.fill_diagonal(D, np.inf)
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=np.int64)
-    members: list[list[int] | None] = [[i] for i in range(n)]
-
-    # Cached per-row minima; argmin's first-occurrence rule gives the
-    # smallest partner id, which realizes the lexicographic tie-break.
-    row_min = D.min(axis=1)
-    row_arg = D.argmin(axis=1).astype(np.int64)
-
     cut = params.cut_threshold
-    n_active = n
-    while n_active > 1:
-        masked = np.where(active, row_min, np.inf)
-        a = int(np.argmin(masked))
-        g = float(masked[a])
-        if not g <= cut:
-            break
-        b = int(row_arg[a])
-        if b < a:
-            a, b = b, a
-
-        sa, sb = int(sizes[a]), int(sizes[b])
-        merged_row = (sa * D[a] + sb * D[b]) / (sa + sb)
-        upd = active.copy()
-        upd[a] = False
-        upd[b] = False
-        D[a, upd] = merged_row[upd]
-        D[upd, a] = merged_row[upd]
-        D[a, a] = np.inf
-        D[b, :] = np.inf
-        D[:, b] = np.inf
-
-        sizes[a] = sa + sb
-        active[b] = False
-        members[a].extend(members[b])  # type: ignore[union-attr]
-        members[b] = None
-        n_active -= 1
-        if n_active == 1:
-            break
-
-        row_min[a] = D[a].min()
-        row_arg[a] = int(D[a].argmin())
-        stale = active & ((row_arg == a) | (row_arg == b))
-        stale[a] = False
-        for k in np.flatnonzero(stale):
-            row_min[k] = D[k].min()
-            row_arg[k] = int(D[k].argmin())
-        fresh = active & ~stale
-        fresh[a] = False
-        ks = np.flatnonzero(fresh)
-        if ks.size:
-            vals = D[ks, a]
-            old_min = row_min[ks]
-            old_arg = row_arg[ks]
-            better = vals < old_min
-            tie = (~better) & (vals == old_min) & (a < old_arg)
-            change = better | tie
-            row_min[ks[better]] = vals[better]
-            row_arg[ks[change]] = a
-
-    final = sorted(
-        (m for m in members if m is not None),
-        key=lambda ms: min(ms),
-    )
+    kappa = 4.0 * n * 2.0**-53
+    final: list[list[int]] = []
+    for comp in _cut_components(dist.entries, cut * (1.0 + kappa)):
+        if comp.size == 1:
+            final.append([int(comp[0])])
+            continue
+        for local in _merge_loop(dist.entries[np.ix_(comp, comp)], cut):
+            final.append(comp[local].tolist())
+    final.sort(key=min)
     return clustering_from_clusters(final, n, "ahc", params_used)
 
 
@@ -619,51 +736,91 @@ def serialize_clustering(
     return "\n".join([header] + lines) + "\n"
 
 
+def _clustering_header(line: str, line_no: int) -> dict:
+    try:
+        header = json.loads(line[len(CLUSTERING_HEADER) :])
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"malformed clustering header: {exc.msg}", line_no) from None
+    if not isinstance(header, dict) or not all(
+        isinstance(meta, dict)
+        and isinstance(meta.get("method", ""), str)
+        and isinstance(meta.get("params", {}), dict)
+        for meta in header.values()
+    ):
+        raise IngestError(
+            "clustering header must map wearer ids to {method, params} objects", line_no
+        )
+    return header
+
+
+_CLUSTERING_FIELDS = ("wearer_id", "image_id", "face_index", "cluster_id")
+
+
 def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
     """Rebuild per-wearer clusterings from their line-record form.
 
     Records must cover exactly the observations of each wearer present in
-    the file; the dataset supplies observation order.
+    the file; the dataset supplies observation order. A malformed header or
+    record raises :class:`IngestError` with its line number.
     """
+    lines = text.splitlines()
     headers: dict = {}
-    records: dict[tuple[str, str, int], int] = {}
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith(CLUSTERING_HEADER):
-            headers = json.loads(line[len(CLUSTERING_HEADER):])
-            continue
-        if line.startswith("#"):
-            continue
-        rec = json.loads(line)
-        records[(rec["wearer_id"], rec["image_id"], rec["face_index"])] = rec["cluster_id"]
+            headers = _clustering_header(line, line_no)
 
+    records: dict[str, dict[tuple[str, int], tuple[int, int]]] = {}
+    for line_no, line in _iter_lines(lines):
+        rec = _record(line, line_no)
+        missing = [f for f in _CLUSTERING_FIELDS if f not in rec]
+        if missing:
+            raise IngestError(f"missing fields {missing}", line_no)
+        wearer, image = rec["wearer_id"], rec["image_id"]
+        face, cid = rec["face_index"], rec["cluster_id"]
+        if not (isinstance(wearer, str) and isinstance(image, str)):
+            raise IngestError("wearer_id and image_id must be strings", line_no)
+        if not isinstance(face, int) or isinstance(face, bool) or face < 0:
+            raise IngestError(f"face_index must be a non-negative integer, got {face!r}", line_no)
+        if not isinstance(cid, int) or isinstance(cid, bool) or cid < -1:
+            raise IngestError(f"cluster_id must be an integer >= -1, got {cid!r}", line_no)
+        own = records.setdefault(wearer, {})
+        if (image, face) in own:
+            raise IngestError(
+                f"duplicate record for {(wearer, image, face)}, "
+                f"first seen on line {own[image, face][1]}",
+                line_no,
+            )
+        own[image, face] = (cid, line_no)
+
+    by_wearer: dict[str, list[FaceObservation]] = {}
+    for o in dataset.observations:
+        by_wearer.setdefault(o.wearer_id, []).append(o)
     out: dict[str, Clustering] = {}
-    wearers = sorted({w for (w, _, _) in records})
-    for wearer in wearers:
-        obs = [o for o in dataset.observations if o.wearer_id == wearer]
+    for wearer in sorted(records):
+        own = records[wearer]
+        obs = by_wearer.get(wearer, [])
+        keys = [(o.image_id, o.face_index) for o in obs]
+        stray = own.keys() - set(keys)
+        if stray:
+            line_no = min(own[key][1] for key in stray)
+            raise IngestError("record names no observation in the dataset", line_no)
         labels: list[int] = []
-        discarded: list[int] = []
-        for idx, o in enumerate(obs):
-            if o.key not in records:
+        for o, key in zip(obs, keys):
+            if key not in own:
                 raise ValueError(f"clustering file lacks a record for {o.key}")
-            cid = records[o.key]
-            labels.append(cid)
-            if cid == -1:
-                discarded.append(idx)
-        meta = headers.get(wearer, {})
+            labels.append(own[key][0])
         clusters: dict[int, list[int]] = {}
         for idx, cid in enumerate(labels):
             if cid >= 0:
                 clusters.setdefault(cid, []).append(idx)
-        ordered = [clusters[c] for c in sorted(clusters)]
+        meta = headers.get(wearer, {})
         out[wearer] = clustering_from_clusters(
-            ordered,
+            [clusters[c] for c in sorted(clusters)],
             n_observations=len(obs),
             method_tag=meta.get("method", "ahc"),
             params_used=meta.get("params", {}),
-            discarded=tuple(discarded),
+            discarded=tuple(idx for idx, cid in enumerate(labels) if cid == -1),
         )
     return out
 

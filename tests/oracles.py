@@ -89,6 +89,34 @@ def naive_average_linkage(D0: np.ndarray, cut: float) -> set[frozenset[int]]:
     return {frozenset(m) for m in clusters.values()}
 
 
+def lance_williams_linkage(D0: np.ndarray, cut: float) -> set[frozenset[int]]:
+    """Greedy average linkage over the whole matrix, with a full rescan per merge.
+
+    The merged row is ``(sa * D[a] + sb * D[b]) / (sa + sb)``, rounded as the
+    package rounds it, so this gives the package's merges bit for bit where
+    :func:`naive_average_linkage`, which averages from scratch, may round a
+    near-tie the other way. Row-major argmin over a symmetric matrix picks
+    the smallest (id, id) pair.
+    """
+    D = np.array(D0, dtype=np.float64)
+    n = len(D)
+    np.fill_diagonal(D, np.inf)
+    sizes = [1] * n
+    clusters: dict[int, list[int]] = {i: [i] for i in range(n)}
+    while len(clusters) > 1:
+        a, b = divmod(int(np.argmin(D)), n)
+        if not D[a, b] <= cut:
+            break
+        merged = (sizes[a] * D[a] + sizes[b] * D[b]) / (sizes[a] + sizes[b])
+        D[a] = merged
+        D[:, a] = merged
+        D[b] = np.inf
+        D[:, b] = np.inf
+        sizes[a] += sizes[b]
+        clusters[a] += clusters.pop(b)
+    return {frozenset(m) for m in clusters.values()}
+
+
 def partition_of(clustering) -> set[frozenset[int]]:
     return {frozenset(members) for members in clustering.clusters}
 

@@ -351,7 +351,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     assert any(name.endswith(".svg") for name in tree1)
 
 
-@criterion(9, "5,000-observation clustering under 30 s and 2 GB")
+@criterion(9, "5,000-observation clustering under 10 s and 1 GB")
 def test_criterion_9_performance():
     rng = np.random.default_rng(909)
     n, k = 5000, 40
@@ -366,8 +366,8 @@ def test_criterion_9_performance():
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert clustering.n_observations == n
-    assert elapsed < 30.0, f"clustering took {elapsed:.1f}s"
-    assert peak_mb < 2048.0, f"peak memory {peak_mb:.0f} MB"
+    assert elapsed < 10.0, f"clustering took {elapsed:.1f}s"
+    assert peak_mb < 1024.0, f"peak memory {peak_mb:.0f} MB"
 
 
 @criterion(10, "table and radar renderings parse back to their inputs")

@@ -336,6 +336,62 @@ def test_interactions_missing_field_rejected_with_line(tmp_path, synth_dir, caps
     assert err.endswith("error: line 1: missing fields ['person_cluster_id']\n")
 
 
+def _edit_record(line: str, field: str, value=None) -> str:
+    """The JSON record on ``line`` with ``field`` set to ``value``, or dropped if None."""
+    record = json.loads(line)
+    if value is None:
+        del record[field]
+    else:
+        record[field] = value
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "file_line, corrupt, message",
+    [
+        (3, lambda ls: _edit_record(ls[2], "face_index"), "missing fields ['face_index']"),
+        (
+            2,
+            lambda ls: _edit_record(ls[1], "cluster_id", "1"),
+            "cluster_id must be an integer >= -1, got '1'",
+        ),
+        (
+            4,
+            lambda ls: _edit_record(ls[3], "cluster_id", 1.5),
+            "cluster_id must be an integer >= -1, got 1.5",
+        ),
+        (2, lambda ls: ls[1][:-5], "malformed record"),
+        (1, lambda ls: ls[0][:-1], "malformed clustering header"),
+        (3, lambda ls: _edit_record(ls[2], "image_id", "no-such-image"), "record names no"),
+        (3, lambda ls: ls[1], "duplicate record"),
+    ],
+    ids=[
+        "missing-key",
+        "string-cluster-id",
+        "float-cluster-id",
+        "malformed-record",
+        "bad-header",
+        "stray-record",
+        "duplicate-record",
+    ],
+)
+def test_bad_clustering_file_rejected_with_line(
+    tmp_path, synth_dir, capsys, file_line, corrupt, message
+):
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["cluster", "--obs", obs, "--out", str(tmp_path / "c")]) == 0
+    lines = (tmp_path / "c" / "clustering.jsonl").read_text().splitlines()
+    lines[file_line - 1] = corrupt(lines)
+    bad = tmp_path / "clustering.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["segment", "--obs", obs, "--clustering", str(bad), "--out", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"error: line {file_line}: {message}")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

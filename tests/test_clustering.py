@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from egosocial.clustering import (
 )
 from egosocial.consistency import pearson
 from egosocial.ingest import Dataset
-from oracles import distance_double_loop, naive_average_linkage, partition_of
+from oracles import (
+    distance_double_loop,
+    lance_williams_linkage,
+    naive_average_linkage,
+    partition_of,
+)
 
 
 # --- distances -----------------------------------------------------------------
@@ -98,6 +104,37 @@ def test_matrix_is_validated():
         )
 
 
+def _faulty(n, *faults):
+    """An n x n symmetric matrix of ones with the given (i, j, value) writes."""
+    E = np.ones((n, n))
+    np.fill_diagonal(E, 0.0)
+    for i, j, value in faults:
+        E[i, j] = value
+    return DistanceMatrix(entries=E, metric_tag="euclidean")
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # far from the diagonal, more than one 256-row block away
+        ([(0, 299, 2.0)], "not symmetric"),
+        ([(299, 0, 2.0)], "not symmetric"),
+        ([(10, 280, 2.0)], "not symmetric"),
+        ([(3, 290, np.nan), (290, 3, np.nan)], "non-finite"),
+        ([(280, 5, np.inf)], "non-finite"),
+        ([(7, 270, -1.0), (270, 7, -1.0)], "negative"),
+        ([(150, 150, 0.5)], "diagonal must be zero"),
+        # several faults: the first in check order is reported
+        ([(0, 299, 2.0), (298, 297, np.nan)], "non-finite"),
+        ([(0, 299, 2.0), (299, 298, -1.0), (298, 299, -1.0)], "negative"),
+        ([(0, 299, 2.0), (150, 150, 0.5)], "not symmetric"),
+    ],
+)
+def test_matrix_validation_messages(faults, message):
+    with pytest.raises(ValueError, match=message):
+        ahc_average_linkage(_faulty(300, *faults), AhcParams())
+
+
 # --- average-linkage AHC ---------------------------------------------------------
 
 
@@ -143,6 +180,89 @@ def test_matches_naive_oracle_small_instances(rng):
         assert partition_of(ours) == ref
 
 
+def _assert_matches_naive(D, cuts):
+    dist = DistanceMatrix(entries=D, metric_tag="euclidean")
+    for cut in cuts:
+        ours = ahc_average_linkage(dist, _euclid_params(cut))
+        assert partition_of(ours) == naive_average_linkage(dist.entries, cut), cut
+
+
+def test_duplicated_rows_match_naive_oracle(rng):
+    for _ in range(10):
+        base = rng.standard_normal((int(rng.integers(2, 6)), 128))
+        X = base[rng.integers(0, len(base), size=int(rng.integers(4, 13)))]
+        D = compute_distances(X, metric="euclidean", normalize=False).entries
+        # With two distinct rows every cross average is exactly the median,
+        # so a cut there is decided by rounding: keep cuts off it.
+        med = float(np.median(D[D > 0])) if np.any(D > 0) else 1.0
+        _assert_matches_naive(D, [1e-9, 0.5 * med, 0.97 * med, 1.03 * med, 1.7 * med])
+
+
+def test_integer_lattice_ties_match_naive_oracle(rng):
+    for _ in range(10):
+        coords = rng.integers(0, 12, size=int(rng.integers(3, 13)))
+        D = compute_distances(
+            pad128(*[[float(c)] for c in coords]), metric="euclidean", normalize=False
+        ).entries
+        assert np.array_equal(D, np.abs(coords[:, None] - coords[None, :]).astype(float))
+        _assert_matches_naive(D, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+
+
+def test_separated_blobs_and_singletons_match_naive_oracle(rng):
+    for _ in range(8):
+        centers = rng.standard_normal((int(rng.integers(3, 6)), 128)) * 10.0
+        sizes = rng.integers(1, 4, size=len(centers))
+        X = np.vstack(
+            [c + 0.3 * rng.standard_normal((s, 128)) for c, s in zip(centers, sizes)]
+        )
+        X = X[rng.permutation(len(X))]
+        D = compute_distances(X, metric="euclidean", normalize=False).entries
+        ours = ahc_average_linkage(
+            DistanceMatrix(entries=D, metric_tag="euclidean"), _euclid_params(20.0)
+        )
+        assert ours.n_clusters == len(centers)
+        assert sorted(len(c) for c in ours.clusters) == sorted(sizes.tolist())
+        _assert_matches_naive(D, [5.0, 20.0, 40.0])
+
+
+def _ulps_above_cut(rng, cut, n_groups, ulp_range):
+    """Random in-group distances below ``cut``; every cross-group one a few ulps above."""
+    n = int(rng.integers(4, 12))
+    groups = rng.integers(0, n_groups, size=n)
+    cross = groups[:, None] != groups[None, :]
+    ulps = rng.integers(*ulp_range, size=(n, n))
+    D = np.where(cross, cut + ulps * np.spacing(cut), rng.uniform(0.1, cut, size=(n, n)))
+    D = np.triu(D, 1)
+    return D + D.T, groups
+
+
+def test_cross_group_distances_ulps_above_cut_match_naive_oracle(rng):
+    cut = 0.9
+    for _ in range(20):
+        D, groups = _ulps_above_cut(rng, cut, 3, (3, 41))
+        _assert_matches_naive(D, [cut])
+        ours = ahc_average_linkage(
+            DistanceMatrix(entries=D, metric_tag="euclidean"), _euclid_params(cut)
+        )
+        assert all(len(set(groups[list(c)])) == 1 for c in ours.clusters)
+
+
+def test_rounding_merges_one_ulp_above_cut_match_whole_matrix_loop(rng):
+    # One or two ulps above the cut, a rounded Lance-Williams average can
+    # land on the cut and merge two groups; splitting the work must not
+    # change that.
+    crossed = 0
+    for _ in range(300):
+        cut = float(rng.uniform(0.5, 2.0))
+        D, groups = _ulps_above_cut(rng, cut, 2, (1, 3))
+        ours = ahc_average_linkage(
+            DistanceMatrix(entries=D, metric_tag="euclidean"), _euclid_params(cut)
+        )
+        assert partition_of(ours) == lance_williams_linkage(D, cut)
+        crossed += any(len(set(groups[list(c)])) > 1 for c in ours.clusters)
+    assert crossed > 0
+
+
 def test_permutation_invariance(rng):
     X = rng.standard_normal((12, 128))
     d = compute_distances(X, metric="euclidean", normalize=False)
@@ -184,6 +304,28 @@ def test_metric_mismatch_rejected(rng):
     d = compute_distances(rng.standard_normal((3, 128)), metric="cosine", normalize=False)
     with pytest.raises(ValueError, match="does not match"):
         ahc_average_linkage(d, _euclid_params(1.0))
+
+
+def test_distances_and_linkage_stay_near_one_dense_matrix(rng):
+    n, k = 2000, 40
+    centers = rng.standard_normal((k, 128))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    X = centers[rng.integers(0, k, size=n)] + 0.03 * rng.standard_normal((n, 128))
+    dense = n * n * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dist = compute_distances(X, metric="euclidean", normalize=True)
+        distance_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        clustering = ahc_average_linkage(dist, AhcParams(cut_threshold=0.9))
+        linkage_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert clustering.n_clusters == k
+    assert distance_peak <= 1.5 * dense, distance_peak / dense
+    assert linkage_peak <= 0.25 * dense, linkage_peak / dense
 
 
 def test_assignment_cross_check(rng):
