@@ -22,6 +22,7 @@ from .clustering import (
     MeanShiftParams,
     SpectralParams,
     ahc_average_linkage,
+    cluster,
     cluster_ahc,
     compute_distances,
     estimate_bandwidth,
@@ -88,6 +89,7 @@ __all__ = [
     "apply_consistency",
     "bcubed_prf",
     "build_profiles",
+    "cluster",
     "cluster_ahc",
     "cluster_mean_correlation",
     "compute_distances",

@@ -1,5 +1,13 @@
 """Command-line pipeline: validate, synth, cluster, segment, profile, eval, render.
 
+Each stage (cluster and consistency-filter each wearer, segment
+interactions, compute traits) has one helper and each artifact group one
+writer. ``pipeline`` chains them; ``cluster``, ``segment`` and ``profile``
+run one stage each and write the same bytes. The helpers call the library
+through this module's names, which ``perfbench/spans.py`` wraps to time
+each layer. Every clustering method dispatches through
+:func:`egosocial.clustering.cluster`, so ``eval`` clusters as ``cluster`` does.
+
 Every subcommand is scriptable and reproducible: all analytic parameters
 are printed at startup, serialized into each artifact's provenance block,
 and hashed into a fingerprint, so rerunning a command with identical
@@ -14,7 +22,7 @@ import hashlib
 import json
 import sys
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -22,14 +30,12 @@ from .clustering import (
     AhcParams,
     Clustering,
     MeanShiftParams,
+    MethodParams,
     SpectralParams,
-    cluster_ahc,
+    cluster,
     clustering_from_clusters,
-    estimate_bandwidth,
-    meanshift,
     parse_clustering,
     serialize_clustering,
-    spectral,
 )
 from .consistency import ConsistencyThresholds, apply_consistency
 from .evaluation import (
@@ -49,17 +55,15 @@ from .ingest import (
     serialize_observations,
     slice_dataset,
 )
-from .profile import SocialTraits, build_profiles, compute_traits
+from .profile import SocialProfile, SocialTraits, build_profiles, compute_traits
 from .render import radar_spec_from_profiles, render_radar, render_table
-from .segmentation import (
-    SegmentationParams,
-    parse_interactions,
-    segment,
-    serialize_interactions,
-)
-from .synth import SynthConfigError, dump_config, generate, load_config, serialize_schedule_truth
+from .segmentation import SegmentationParams, parse_interactions, segment, serialize_interactions
+from .synth import dump_config, generate, load_config, serialize_schedule_truth
 
 METHODS = ("ahc", "meanshift", "spectral")
+
+# {wearer: (that wearer's slice of the dataset, its clustering)}
+PerWearer = dict[str, tuple[Dataset, Clustering]]
 
 
 @dataclass
@@ -80,22 +84,7 @@ class RunConfig:
     min_event_min: float = 3.0
     max_gap_min: float = 15.0
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        config = cls()
-        for f in fields(cls):
-            if hasattr(args, f.name) and getattr(args, f.name) is not None:
-                setattr(config, f.name, getattr(args, f.name))
-        # Booleans come through with explicit defaults, take them as-is.
-        if hasattr(args, "normalize") and args.normalize is not None:
-            config.normalize = args.normalize
-        if getattr(args, "config", None):
-            for key, value in _read_config_overrides(Path(args.config)).items():
-                setattr(config, key, value)
-        config.validate()
-        return config
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         self.ahc_params()  # raises on bad metric/cut
@@ -103,41 +92,27 @@ class RunConfig:
         self.segmentation_params()
 
     def ahc_params(self) -> AhcParams:
-        return AhcParams(
-            metric=self.metric,
-            cut_threshold=self.cut_threshold,
-            normalize_descriptors=self.normalize,
-        )
+        return AhcParams(self.metric, self.cut_threshold, normalize_descriptors=self.normalize)
+
+    def cluster_params(self, method: str | None = None) -> MethodParams:
+        """Parameters of ``method`` (the configured one by default) for ``cluster``."""
+        method = method or self.method
+        if method == "ahc":
+            return self.ahc_params()
+        if method == "meanshift":
+            return MeanShiftParams(bandwidth=self.bandwidth)
+        if self.k is None:
+            raise ValueError("spectral clustering requires --k")
+        return SpectralParams(k=self.k, affinity_scale=self.affinity_scale, seed=self.seed)
 
     def thresholds(self) -> ConsistencyThresholds:
-        return ConsistencyThresholds(
-            robust_mean=self.robust_mean,
-            reject_mean=self.reject_mean,
-            member_min=self.member_min,
-        )
+        return ConsistencyThresholds(self.robust_mean, self.reject_mean, self.member_min)
 
     def segmentation_params(self) -> SegmentationParams:
-        return SegmentationParams(
-            min_event_minutes=self.min_event_min,
-            max_gap_minutes=self.max_gap_min,
-        )
+        return SegmentationParams(self.min_event_min, self.max_gap_min)
 
     def analytic_params(self) -> dict:
-        return {
-            "method": self.method,
-            "metric": self.metric,
-            "cut_threshold": self.cut_threshold,
-            "normalize": self.normalize,
-            "bandwidth": self.bandwidth,
-            "k": self.k,
-            "affinity_scale": self.affinity_scale,
-            "seed": self.seed,
-            "robust_mean": self.robust_mean,
-            "reject_mean": self.reject_mean,
-            "member_min": self.member_min,
-            "min_event_min": self.min_event_min,
-            "max_gap_min": self.max_gap_min,
-        }
+        return asdict(self)
 
     def fingerprint(self) -> str:
         canon = json.dumps(self.analytic_params(), sort_keys=True, separators=(",", ":"))
@@ -178,16 +153,19 @@ def _read_config_overrides(path: Path) -> dict:
     return overrides
 
 
+def _settings(args: argparse.Namespace) -> dict:
+    """The RunConfig fields a command line sets: its flags, then its --config file."""
+    names = [f.name for f in fields(RunConfig)]
+    settings = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    if getattr(args, "config", None):
+        settings.update(_read_config_overrides(Path(args.config)))
+    return settings
+
+
 def _announce(config: RunConfig) -> None:
     params = config.analytic_params()
     summary = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
     print(f"egosocial {__version__} | {summary}", file=sys.stderr)
-
-
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def _load(args: argparse.Namespace) -> Dataset:
@@ -196,21 +174,130 @@ def _load(args: argparse.Namespace) -> Dataset:
     return load_dataset(obs_text, coverage_text)
 
 
-def _cluster_one(dataset_slice: Dataset, config: RunConfig) -> Clustering:
-    observations = dataset_slice.observations
-    if config.method == "ahc":
-        return cluster_ahc(observations, config.ahc_params())
-    if config.method == "meanshift":
-        bw = config.bandwidth
-        if bw is None:
-            bw = estimate_bandwidth(observations, seed=config.seed)
-        return meanshift(observations, bandwidth=bw)
-    if config.k is None:
-        raise ValueError("spectral clustering requires --k")
-    scale = config.affinity_scale
-    if scale is None:
-        scale = estimate_bandwidth(observations, seed=config.seed)
-    return spectral(observations, k=config.k, affinity_scale=scale, seed=config.seed)
+def _begin(args: argparse.Namespace) -> tuple[RunConfig, Dataset]:
+    """Settle and announce the run's parameters, then load its observations."""
+    config = RunConfig(**_settings(args))
+    _announce(config)
+    return config, _load(args)
+
+
+def _cluster_stage(dataset: Dataset, config: RunConfig) -> tuple[PerWearer, dict]:
+    """Per-wearer clustering plus consistency filtering, and each wearer's report."""
+    per_wearer: PerWearer = {}
+    reports = {}
+    for wearer in dataset.wearers():
+        part = slice_dataset(dataset, wearer)
+        if not part.observations:
+            continue
+        raw = cluster(part.observations, config.cluster_params(), config.seed)
+        filtered, reports[wearer] = apply_consistency(raw, part, config.thresholds())
+        per_wearer[wearer] = (part, filtered)
+    return per_wearer, reports
+
+
+def _segment_stage(per_wearer: PerWearer, params: SegmentationParams) -> tuple[list, dict]:
+    """Every wearer's interactions, plus per-wearer counts of kept and dropped runs."""
+    interactions = []
+    stats = {}
+    for wearer in sorted(per_wearer):
+        part, clustering = per_wearer[wearer]
+        result = segment(clustering, part, params)
+        interactions.extend(result.interactions)
+        stats[wearer] = {
+            "interactions": len(result.interactions),
+            "sub_event_runs": result.sub_event_runs,
+        }
+    return interactions, stats
+
+
+def _traits_stage(dataset: Dataset, interactions: list) -> list[SocialTraits]:
+    return [
+        compute_traits(interactions, dataset.coverage.values(), wearer)
+        for wearer in dataset.wearers()
+    ]
+
+
+def _pooled_clustering(dataset: Dataset, per_wearer: PerWearer) -> Clustering:
+    """Combine per-wearer clusterings into one partition of the full dataset."""
+    key_to_global = {obs.key: i for i, obs in enumerate(dataset.observations)}
+    clusters = []
+    discarded = []
+    for wearer in sorted(per_wearer):
+        part, clustering = per_wearer[wearer]
+        for members in clustering.clusters:
+            clusters.append([key_to_global[part.observations[m].key] for m in members])
+        discarded.extend(key_to_global[part.observations[m].key] for m in clustering.discarded)
+    n = len(dataset.observations)
+    return clustering_from_clusters(clusters, n, "per-wearer", {}, discarded=tuple(discarded))
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _provenance(config: RunConfig) -> dict:
+    return {"fingerprint": config.fingerprint(), "params": config.analytic_params()}
+
+
+def _write_clustering(out: Path, per_wearer: PerWearer, reports: dict, prov: dict) -> None:
+    _write(out / "clustering.jsonl", serialize_clustering(per_wearer))
+    wearers = {w: reports[w].to_dict() for w in sorted(reports)}
+    _write_json(out / "consistency.json", {"provenance": prov, "wearers": wearers})
+
+
+def _write_segmentation(out: Path, interactions: list, stats: dict, prov: dict) -> None:
+    _write(out / "interactions.jsonl", serialize_interactions(interactions))
+    _write_json(out / "segmentation.json", {"provenance": prov, "wearers": stats})
+
+
+def _write_charts(out: Path, profiles: tuple[SocialProfile, ...], provenance: str) -> None:
+    """One radar chart per wearer, named after it, plus overlay.svg with all of them."""
+    for profile in profiles:
+        chart = render_radar(
+            radar_spec_from_profiles([profile], overlay=False), provenance=provenance
+        )
+        _write(out / f"{profile.traits.wearer_id}.svg", chart)
+    overlay = render_radar(radar_spec_from_profiles(profiles, overlay=True), provenance=provenance)
+    _write(out / "overlay.svg", overlay)
+
+
+def _write_profiles(out: Path, traits: list[SocialTraits], prov: dict) -> None:
+    profiles = build_profiles(traits, provenance=prov["fingerprint"])
+    _write_json(out / "traits.json", {"provenance": prov, "wearers": [t.to_dict() for t in traits]})
+    _write(out / "traits_table.txt", render_table(traits))
+    _write_json(
+        out / "profiles.json", {"provenance": prov, "profiles": [p.to_dict() for p in profiles]}
+    )
+    _write_charts(out / "radar", profiles, prov["fingerprint"])
+
+
+def _write_eval(out: Path, results: dict[str, MethodEvaluation], prov: dict) -> None:
+    methods = {name: ev.to_dict() for name, ev in results.items()}
+    _write_json(out / "eval.json", {"provenance": prov, "methods": methods})
+    _write(out / "eval_table.txt", render_eval_table(results))
+
+
+def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
+    """The records and provenance fingerprint of a traits report; names a missing key."""
+    doc = json.loads(path.read_text())
+    records = doc.get("wearers") if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        raise ValueError(f"traits file {path} lacks key 'wearers' (a list of records)")
+    traits = []
+    for i, record in enumerate(records):
+        try:
+            traits.append(SocialTraits.from_dict(record))
+        except KeyError as exc:
+            raise ValueError(f"traits file {path}: wearers[{i}] lacks key {exc}") from None
+        except (TypeError, ValueError) as exc:  # not an object, or a bad value
+            raise ValueError(f"traits file {path}: wearers[{i}]: {exc}") from None
+    return traits, doc.get("provenance", {}).get("fingerprint", "unspecified")
 
 
 # ---------------------------------------------------------------------------
@@ -252,33 +339,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_and_filter(dataset: Dataset, config: RunConfig):
-    """Per-wearer clustering plus consistency filtering."""
-    per_wearer = {}
-    reports = {}
-    for wearer in dataset.wearers():
-        part = slice_dataset(dataset, wearer)
-        if not part.observations:
-            continue
-        raw = _cluster_one(part, config)
-        filtered, report = apply_consistency(raw, part, config.thresholds())
-        per_wearer[wearer] = (part, filtered)
-        reports[wearer] = report
-    return per_wearer, reports
-
-
 def cmd_cluster(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    _announce(config)
-    dataset = _load(args)
-    per_wearer, reports = _cluster_and_filter(dataset, config)
-    out = Path(args.out)
-    _write(out / "clustering.jsonl", serialize_clustering(per_wearer))
-    consistency_doc = {
-        "provenance": {"fingerprint": config.fingerprint(), "params": config.analytic_params()},
-        "wearers": {w: reports[w].to_dict() for w in sorted(reports)},
-    }
-    _write(out / "consistency.json", json.dumps(consistency_doc, indent=2, sort_keys=True) + "\n")
+    config, dataset = _begin(args)
+    per_wearer, reports = _cluster_stage(dataset, config)
+    _write_clustering(Path(args.out), per_wearer, reports, _provenance(config))
     for wearer in sorted(per_wearer):
         _, clustering = per_wearer[wearer]
         print(
@@ -289,28 +353,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    _announce(config)
-    dataset = _load(args)
+    config, dataset = _begin(args)
     clusterings = parse_clustering(Path(args.clustering).read_text(), dataset)
-    params = config.segmentation_params()
-    all_interactions = []
-    stats = {}
-    for wearer in sorted(clusterings):
-        part = slice_dataset(dataset, wearer)
-        result = segment(clusterings[wearer], part, params)
-        all_interactions.extend(result.interactions)
-        stats[wearer] = {
-            "interactions": len(result.interactions),
-            "sub_event_runs": result.sub_event_runs,
-        }
-    out = Path(args.out)
-    _write(out / "interactions.jsonl", serialize_interactions(all_interactions))
-    doc = {
-        "provenance": {"fingerprint": config.fingerprint(), "params": config.analytic_params()},
-        "wearers": stats,
-    }
-    _write(out / "segmentation.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    per_wearer = {w: (slice_dataset(dataset, w), clusterings[w]) for w in sorted(clusterings)}
+    interactions, stats = _segment_stage(per_wearer, config.segmentation_params())
+    _write_segmentation(Path(args.out), interactions, stats, _provenance(config))
     for wearer, entry in stats.items():
         print(
             f"wearer {wearer}: {entry['interactions']} interaction(s), "
@@ -319,169 +366,67 @@ def cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_profiles(out: Path, traits: list[SocialTraits], config: RunConfig) -> None:
-    provenance = config.fingerprint()
-    profiles = build_profiles(traits, provenance=provenance)
-    prov_doc = {"fingerprint": provenance, "params": config.analytic_params()}
-    _write(
-        out / "traits.json",
-        json.dumps(
-            {"provenance": prov_doc, "wearers": [t.to_dict() for t in traits]},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    _write(out / "traits_table.txt", render_table(traits))
-    _write(
-        out / "profiles.json",
-        json.dumps(
-            {"provenance": prov_doc, "profiles": [p.to_dict() for p in profiles]},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
-    for profile in profiles:
-        chart = render_radar(
-            radar_spec_from_profiles([profile], overlay=False), provenance=provenance
-        )
-        _write(out / "radar" / f"{profile.traits.wearer_id}.svg", chart)
-    overlay = render_radar(radar_spec_from_profiles(profiles, overlay=True), provenance=provenance)
-    _write(out / "radar" / "overlay.svg", overlay)
-
-
 def cmd_profile(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    _announce(config)
-    dataset = _load(args)
+    config, dataset = _begin(args)
     interactions = parse_interactions(Path(args.interactions).read_text())
-    traits = [
-        compute_traits(interactions, dataset.coverage.values(), wearer)
-        for wearer in dataset.wearers()
-    ]
-    out = Path(args.out)
-    _write_profiles(out, traits, config)
+    traits = _traits_stage(dataset, interactions)
+    _write_profiles(Path(args.out), traits, _provenance(config))
     print(render_table(traits), end="")
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.traits).read_text())
-    traits = [SocialTraits.from_dict(rec) for rec in doc["wearers"]]
-    provenance = doc.get("provenance", {}).get("fingerprint", "unspecified")
+    traits, provenance = _read_traits(Path(args.traits))
     profiles = build_profiles(traits, provenance=provenance)
     out = Path(args.out)
-    for profile in profiles:
-        chart = render_radar(
-            radar_spec_from_profiles([profile], overlay=False), provenance=provenance
-        )
-        _write(out / f"{profile.traits.wearer_id}.svg", chart)
-    overlay = render_radar(radar_spec_from_profiles(profiles, overlay=True), provenance=provenance)
-    _write(out / "overlay.svg", overlay)
+    _write_charts(out, profiles, provenance)
     _write(out / "traits_table.txt", render_table(traits))
     print(f"rendered {len(profiles)} profile chart(s) -> {out}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
+    settings = _settings(args)
+    config = RunConfig(**settings)
     _announce(config)
     dataset = _load(args)
     truth = parse_ground_truth(Path(args.truth).read_text())
 
-    methods = [config.method] if args.method else list(METHODS)
-    ahc_params = config.ahc_params() if "ahc" in methods else None
-    ms_params = (
-        MeanShiftParams(bandwidth=config.bandwidth) if "meanshift" in methods else None
-    )
-    sp_params = None
-    if "spectral" in methods and config.k is not None:
-        sp_params = SpectralParams(k=config.k, affinity_scale=config.affinity_scale, seed=config.seed)
-    elif "spectral" in methods and args.method:
-        raise ValueError("spectral evaluation requires --k")
-
+    # A method named by flag or by config is the only one scored.
+    if "method" in settings:
+        methods = [config.method]
+    else:
+        methods = [m for m in METHODS if m != "spectral" or config.k is not None]
+    params = {m: config.cluster_params(m) for m in methods}
     results = evaluate_methods(
         dataset,
         truth,
-        ahc=ahc_params,
-        meanshift_params=ms_params,
-        spectral_params=sp_params,
+        ahc=params.get("ahc"),
+        meanshift_params=params.get("meanshift"),
+        spectral_params=params.get("spectral"),
         thresholds=config.thresholds(),
+        seed=config.seed,
     )
-    table = render_eval_table(results)
-    print(table, end="")
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        doc = {
-            "provenance": {"fingerprint": config.fingerprint(), "params": config.analytic_params()},
-            "methods": {name: ev.to_dict() for name, ev in results.items()},
-        }
-        _write(out / "eval.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        _write(out / "eval_table.txt", table)
+    print(render_eval_table(results), end="")
+    if args.out:
+        _write_eval(Path(args.out), results, _provenance(config))
     return 0
 
 
-def _pooled_clustering(dataset: Dataset, per_wearer) -> Clustering:
-    """Combine per-wearer clusterings into one partition of the full dataset."""
-    key_to_global = {obs.key: i for i, obs in enumerate(dataset.observations)}
-    clusters = []
-    discarded = []
-    for wearer in sorted(per_wearer):
-        part, clustering = per_wearer[wearer]
-        for members in clustering.clusters:
-            clusters.append([key_to_global[part.observations[m].key] for m in members])
-        discarded.extend(key_to_global[part.observations[m].key] for m in clustering.discarded)
-    return clustering_from_clusters(
-        clusters,
-        n_observations=len(dataset.observations),
-        method_tag="per-wearer",
-        params_used={},
-        discarded=tuple(discarded),
-    )
-
-
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = RunConfig.from_args(args)
-    _announce(config)
-    dataset = _load(args)
+    config, dataset = _begin(args)
     out = Path(args.out)
+    prov = _provenance(config)
+    _write_json(out / "params.json", prov)
 
-    prov_doc = {"fingerprint": config.fingerprint(), "params": config.analytic_params()}
-    _write(out / "params.json", json.dumps(prov_doc, indent=2, sort_keys=True) + "\n")
+    per_wearer, reports = _cluster_stage(dataset, config)
+    _write_clustering(out, per_wearer, reports, prov)
+    interactions, stats = _segment_stage(per_wearer, config.segmentation_params())
+    _write_segmentation(out, interactions, stats, prov)
+    traits = _traits_stage(dataset, interactions)
+    _write_profiles(out, traits, prov)
 
-    per_wearer, reports = _cluster_and_filter(dataset, config)
-    _write(out / "clustering.jsonl", serialize_clustering(per_wearer))
-    consistency_doc = {
-        "provenance": prov_doc,
-        "wearers": {w: reports[w].to_dict() for w in sorted(reports)},
-    }
-    _write(out / "consistency.json", json.dumps(consistency_doc, indent=2, sort_keys=True) + "\n")
-
-    params = config.segmentation_params()
-    all_interactions = []
-    stats = {}
-    for wearer in sorted(per_wearer):
-        part, clustering = per_wearer[wearer]
-        result = segment(clustering, part, params)
-        all_interactions.extend(result.interactions)
-        stats[wearer] = {
-            "interactions": len(result.interactions),
-            "sub_event_runs": result.sub_event_runs,
-        }
-    _write(out / "interactions.jsonl", serialize_interactions(all_interactions))
-    _write(
-        out / "segmentation.json",
-        json.dumps({"provenance": prov_doc, "wearers": stats}, indent=2, sort_keys=True) + "\n",
-    )
-
-    traits = [
-        compute_traits(all_interactions, dataset.coverage.values(), wearer)
-        for wearer in dataset.wearers()
-    ]
-    _write_profiles(out, traits, config)
-
-    if getattr(args, "truth", None):
+    if args.truth:
         truth = parse_ground_truth(Path(args.truth).read_text())
         pooled = _pooled_clustering(dataset, per_wearer)
         evaluation = MethodEvaluation(
@@ -491,10 +436,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             n_clusters=pooled.n_clusters,
             n_discarded=len(pooled.discarded),
         )
-        table = render_eval_table({config.method: evaluation})
-        doc = {"provenance": prov_doc, "methods": {config.method: evaluation.to_dict()}}
-        _write(out / "eval.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        _write(out / "eval_table.txt", table)
+        _write_eval(out, {config.method: evaluation}, prov)
 
     print(f"pipeline complete -> {out}")
     print(render_table(traits), end="")
@@ -608,10 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, SynthConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # IngestError and SynthConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class SpectralParams:
 
     def to_dict(self) -> dict:
         return {"k": self.k, "affinity_scale": self.affinity_scale, "seed": self.seed}
+
+
+MethodParams = AhcParams | MeanShiftParams | SpectralParams
 
 
 @dataclass(frozen=True)
@@ -696,6 +699,28 @@ def spectral(
         "seed": seed,
     }
     return clustering_from_labels(labels, "spectral", params_used)
+
+
+def cluster(observations, params: MethodParams, seed: int = 0) -> Clustering:
+    """Cluster with the method ``params`` selects.
+
+    A mean-shift bandwidth or spectral affinity scale left as None is
+    estimated with :func:`estimate_bandwidth` on a subsample drawn with
+    ``seed``; the spectral k-means keeps its own ``params.seed``.
+    """
+    if isinstance(params, AhcParams):
+        return cluster_ahc(observations, params)
+    if isinstance(params, MeanShiftParams):
+        bandwidth = params.bandwidth
+        if bandwidth is None:
+            bandwidth = estimate_bandwidth(observations, seed=seed)
+        return meanshift(observations, bandwidth, max_iter=params.max_iter, tol=params.tol)
+    if isinstance(params, SpectralParams):
+        scale = params.affinity_scale
+        if scale is None:
+            scale = estimate_bandwidth(observations, seed=seed)
+        return spectral(observations, params.k, affinity_scale=scale, seed=params.seed)
+    raise TypeError(f"no clustering method takes {type(params).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-import numpy as np
-
-from .clustering import (
-    AhcParams,
-    Clustering,
-    MeanShiftParams,
-    SpectralParams,
-    cluster_ahc,
-    estimate_bandwidth,
-    meanshift,
-    spectral,
-)
+from .clustering import AhcParams, Clustering, MeanShiftParams, SpectralParams, cluster
 from .consistency import ConsistencyThresholds, apply_consistency
 from .ingest import Dataset, IngestError, ObservationKey, _iter_lines, _record
+from .render import format_text_table
 
 UNKNOWN_LABEL = "unknown"
 
@@ -211,52 +201,22 @@ def evaluate_methods(
     spectral_params: SpectralParams | None = None,
     thresholds: ConsistencyThresholds = ConsistencyThresholds(),
     discarded_as_singletons: bool = True,
+    seed: int = 0,
 ) -> dict[str, MethodEvaluation]:
     """Run the configured methods over one observation pool and score each.
 
     The whole dataset is clustered as a single pile (the evaluation-set
     regime); the consistency filter is applied to every method before
     scoring. Pass None to skip a method; spectral needs an explicit k so
-    it is off by default.
+    it is off by default. ``seed`` draws the subsample that estimates a
+    bandwidth or affinity scale left as None.
     """
-    observations = dataset.observations
     results: dict[str, MethodEvaluation] = {}
-
-    runs: list[tuple[str, Clustering]] = []
-    if ahc is not None:
-        runs.append(("ahc", cluster_ahc(observations, ahc)))
-    if meanshift_params is not None:
-        bw = meanshift_params.bandwidth
-        if bw is None:
-            bw = estimate_bandwidth(observations)
-        runs.append(
-            (
-                "meanshift",
-                meanshift(
-                    observations,
-                    bandwidth=bw,
-                    max_iter=meanshift_params.max_iter,
-                    tol=meanshift_params.tol,
-                ),
-            )
-        )
-    if spectral_params is not None:
-        scale = spectral_params.affinity_scale
-        if scale is None:
-            scale = estimate_bandwidth(observations)
-        runs.append(
-            (
-                "spectral",
-                spectral(
-                    observations,
-                    k=spectral_params.k,
-                    affinity_scale=scale,
-                    seed=spectral_params.seed,
-                ),
-            )
-        )
-
-    for name, clustering in runs:
+    runs = (("ahc", ahc), ("meanshift", meanshift_params), ("spectral", spectral_params))
+    for name, params in runs:
+        if params is None:
+            continue
+        clustering = cluster(dataset.observations, params, seed)
         filtered, _ = apply_consistency(clustering, dataset, thresholds)
         results[name] = MethodEvaluation(
             method=name,
@@ -283,23 +243,10 @@ def render_eval_table(results: Mapping[str, MethodEvaluation]) -> str:
     rows = []
     for name in sorted(results):
         ev = results[name]
-        rows.append(
-            [
-                name,
-                f"{100 * ev.pairwise.precision:.2f}",
-                f"{100 * ev.pairwise.recall:.2f}",
-                f"{100 * ev.pairwise.f_measure:.2f}",
-                f"{100 * ev.bcubed.precision:.2f}",
-                f"{100 * ev.bcubed.recall:.2f}",
-                f"{100 * ev.bcubed.f_measure:.2f}",
-                str(ev.n_clusters),
-            ]
-        )
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]) for i in range(len(headers))]
-    def fmt(cells):
-        return " | ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
-    sep = "-+-".join("-" * w for w in widths)
-    return "\n".join([fmt(headers), sep] + [fmt(r) for r in rows]) + "\n"
+        scores = (ev.pairwise.precision, ev.pairwise.recall, ev.pairwise.f_measure)
+        scores += (ev.bcubed.precision, ev.bcubed.recall, ev.bcubed.f_measure)
+        rows.append([name, *(f"{100 * v:.2f}" for v in scores), str(ev.n_clusters)])
+    return format_text_table(headers, rows)
 
 
 _TRUTH_FIELDS = ("wearer_id", "image_id", "face_index", "label")

@@ -10,15 +10,14 @@ indexed by series order.
 The summary table mirrors the trait report: people/day, interactions/day,
 minutes per interaction, minutes per person, and time alone rendered as
 "8h 23m". Both renderings parse back losslessly (to formatting
-precision), which the test suite uses as a round-trip oracle.
+precision); the test suite's parsers use that as a round-trip oracle.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .profile import AXIS_LABELS, SocialProfile, SocialTraits
@@ -164,39 +163,6 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
     return "\n".join(parts) + "\n"
 
 
-_POLYGON_RE = re.compile(
-    r'<polygon class="series" data-name="(?P<name>[^"]*)" points="(?P<points>[^"]*)"'
-)
-_AXIS_RE = re.compile(
-    r'<line class="axis" x1="(?P<x1>[-0-9.]+)" y1="(?P<y1>[-0-9.]+)" '
-    r'x2="(?P<x2>[-0-9.]+)" y2="(?P<y2>[-0-9.]+)"'
-)
-
-
-def parse_radar(svg_text: str) -> dict:
-    """Recover center, radius, and per-series vertex radii from a chart.
-
-    The inverse used by the round-trip tests: radii are reported as
-    fractions of the axis length, i.e. the original normalized values.
-    """
-    axes = _AXIS_RE.findall(svg_text)
-    if not axes:
-        raise ValueError("no axis lines found")
-    cx, cy = float(axes[0][0]), float(axes[0][1])
-    x2, y2 = float(axes[0][2]), float(axes[0][3])
-    radius = math.hypot(x2 - cx, y2 - cy)
-
-    series = {}
-    for match in _POLYGON_RE.finditer(svg_text):
-        pts = []
-        for pair in match.group("points").split():
-            xs, ys = pair.split(",")
-            pts.append((float(xs), float(ys)))
-        values = tuple(math.hypot(x - cx, y - cy) / radius for x, y in pts)
-        series[match.group("name")] = values
-    return {"center": (cx, cy), "radius": radius, "series": series}
-
-
 # ---------------------------------------------------------------------------
 # summary table
 
@@ -217,68 +183,36 @@ def format_minutes_hm(minutes: float) -> str:
     return f"{total // 60}h {total % 60}m"
 
 
-_HM_RE = re.compile(r"^(\d+)h (\d+)m$")
-
-
-def parse_minutes_hm(text: str) -> float:
-    match = _HM_RE.match(text.strip())
-    if not match:
-        raise ValueError(f"not an XhYm duration: {text!r}")
-    return float(int(match.group(1)) * 60 + int(match.group(2)))
-
-
 def format_trait(value: float) -> str:
     """Two-decimal rendering with trailing zeros trimmed ("9", "12.5")."""
     text = f"{value:.2f}".rstrip("0").rstrip(".")
     return text if text else "0"
 
 
-def render_table(traits: Sequence[SocialTraits]) -> str:
-    """Trait summary table, one row per wearer, time alone as "XhYm"."""
-    if not traits:
-        raise ValueError("need at least one traits record")
-    rows = []
-    for t in sorted(traits, key=lambda t: t.wearer_id):
-        rows.append(
-            [
-                t.wearer_id,
-                format_trait(t.persons_per_day),
-                format_trait(t.interactions_per_day),
-                format_trait(t.minutes_per_interaction),
-                format_trait(t.minutes_per_person),
-                format_minutes_hm(t.minutes_alone_per_day),
-            ]
-        )
-    widths = [
-        max(len(TABLE_HEADERS[i]), *(len(r[i]) for r in rows))
-        for i in range(len(TABLE_HEADERS))
-    ]
+def format_text_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned " | " columns under a "-+-" rule, trailing blanks trimmed."""
+    widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)]
 
     def fmt(cells: Sequence[str]) -> str:
         return " | ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
 
     sep = "-+-".join("-" * w for w in widths)
-    return "\n".join([fmt(TABLE_HEADERS), sep] + [fmt(r) for r in rows]) + "\n"
+    return "\n".join([fmt(headers), sep] + [fmt(r) for r in rows]) + "\n"
 
 
-def parse_rendered_table(text: str) -> list[dict]:
-    """Inverse of :func:`render_table` to formatting precision."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("table has no data rows")
-    out = []
-    for line in lines[2:]:
-        cells = [c.strip() for c in line.split("|")]
-        if len(cells) != 6:
-            raise ValueError(f"malformed table row: {line!r}")
-        out.append(
-            {
-                "wearer_id": cells[0],
-                "persons_per_day": float(cells[1]),
-                "interactions_per_day": float(cells[2]),
-                "minutes_per_interaction": float(cells[3]),
-                "minutes_per_person": float(cells[4]),
-                "minutes_alone_per_day": parse_minutes_hm(cells[5]),
-            }
-        )
-    return out
+def render_table(traits: Sequence[SocialTraits]) -> str:
+    """Trait summary table, one row per wearer, time alone as "XhYm"."""
+    if not traits:
+        raise ValueError("need at least one traits record")
+    rows = [
+        [
+            t.wearer_id,
+            format_trait(t.persons_per_day),
+            format_trait(t.interactions_per_day),
+            format_trait(t.minutes_per_interaction),
+            format_trait(t.minutes_per_person),
+            format_minutes_hm(t.minutes_alone_per_day),
+        ]
+        for t in sorted(traits, key=lambda t: t.wearer_id)
+    ]
+    return format_text_table(TABLE_HEADERS, rows)

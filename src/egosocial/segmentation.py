@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .clustering import Clustering
 from .ingest import Dataset, IngestError, _iter_lines, _parse_day, _parse_timestamp, _record

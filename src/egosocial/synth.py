@@ -15,7 +15,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
 from typing import Mapping, Sequence
 

@@ -8,6 +8,7 @@ cannot hide in both paths at once.
 from __future__ import annotations
 
 import math
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -237,3 +238,73 @@ def naive_prune(R: np.ndarray, members, member_min: float):
     ]
     final_mean = float(np.mean(pairs)) if len(current) >= 2 and pairs else None
     return removed, current, final_mean
+
+
+# ---------------------------------------------------------------------------
+# parsers of the rendered chart and table, for round-trip checks
+
+
+_POLYGON_RE = re.compile(
+    r'<polygon class="series" data-name="(?P<name>[^"]*)" points="(?P<points>[^"]*)"'
+)
+_AXIS_RE = re.compile(
+    r'<line class="axis" x1="(?P<x1>[-0-9.]+)" y1="(?P<y1>[-0-9.]+)" '
+    r'x2="(?P<x2>[-0-9.]+)" y2="(?P<y2>[-0-9.]+)"'
+)
+
+
+def parse_radar(svg_text: str) -> dict:
+    """Recover center, radius, and per-series vertex radii from a chart.
+
+    The inverse used by the round-trip tests: radii are reported as
+    fractions of the axis length, i.e. the original normalized values.
+    """
+    axes = _AXIS_RE.findall(svg_text)
+    if not axes:
+        raise ValueError("no axis lines found")
+    cx, cy = float(axes[0][0]), float(axes[0][1])
+    x2, y2 = float(axes[0][2]), float(axes[0][3])
+    radius = math.hypot(x2 - cx, y2 - cy)
+
+    series = {}
+    for match in _POLYGON_RE.finditer(svg_text):
+        pts = []
+        for pair in match.group("points").split():
+            xs, ys = pair.split(",")
+            pts.append((float(xs), float(ys)))
+        values = tuple(math.hypot(x - cx, y - cy) / radius for x, y in pts)
+        series[match.group("name")] = values
+    return {"center": (cx, cy), "radius": radius, "series": series}
+
+
+_HM_RE = re.compile(r"^(\d+)h (\d+)m$")
+
+
+def parse_minutes_hm(text: str) -> float:
+    match = _HM_RE.match(text.strip())
+    if not match:
+        raise ValueError(f"not an XhYm duration: {text!r}")
+    return float(int(match.group(1)) * 60 + int(match.group(2)))
+
+
+def parse_rendered_table(text: str) -> list[dict]:
+    """Inverse of ``egosocial.render.render_table`` to formatting precision."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 3:
+        raise ValueError("table has no data rows")
+    out = []
+    for line in lines[2:]:
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) != 6:
+            raise ValueError(f"malformed table row: {line!r}")
+        out.append(
+            {
+                "wearer_id": cells[0],
+                "persons_per_day": float(cells[1]),
+                "interactions_per_day": float(cells[2]),
+                "minutes_per_interaction": float(cells[3]),
+                "minutes_per_person": float(cells[4]),
+                "minutes_alone_per_day": parse_minutes_hm(cells[5]),
+            }
+        )
+    return out

@@ -40,13 +40,7 @@ from egosocial.consistency import (
 from egosocial.evaluation import GroundTruth, pairwise_prf
 from egosocial.ingest import Dataset, FaceObservation
 from egosocial.profile import build_profiles, compute_traits
-from egosocial.render import (
-    parse_radar,
-    parse_rendered_table,
-    radar_spec_from_profiles,
-    render_radar,
-    render_table,
-)
+from egosocial.render import radar_spec_from_profiles, render_radar, render_table
 from egosocial.segmentation import (
     SegmentationParams,
     daily_interaction_timeline,
@@ -56,7 +50,14 @@ from egosocial.synth import ScheduledInteraction, SynthConfig, config_to_dict, g
 
 import conftest
 from conftest import at, dataset_from_matrix, pad128
-from oracles import naive_average_linkage, partition_of, pearson_highprec, prf_pair_loop
+from oracles import (
+    naive_average_linkage,
+    parse_radar,
+    parse_rendered_table,
+    partition_of,
+    pearson_highprec,
+    prf_pair_loop,
+)
 from test_consistency import _mixed_cluster_matrix, correlated_members
 
 

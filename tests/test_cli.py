@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from egosocial import clustering
 from egosocial.cli import main
 from egosocial.synth import (
     ScheduledInteraction,
@@ -14,6 +15,12 @@ from egosocial.synth import (
     config_to_dict,
     generate,
 )
+
+
+def _synth(config: SynthConfig, cfg_path: Path, out: Path) -> Path:
+    cfg_path.write_text(json.dumps(config_to_dict(config)))
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out
 
 
 @pytest.fixture
@@ -32,11 +39,7 @@ def synth_dir(tmp_path):
             ScheduledInteraction(0, 1, time(16, 0), time(16, 30)),
         ),
     )
-    out = tmp_path / "data"
-    cfg_path = tmp_path / "synth.json"
-    cfg_path.write_text(json.dumps(config_to_dict(config)))
-    assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
-    return out
+    return _synth(config, tmp_path / "synth.json", tmp_path / "data")
 
 
 def _tree_digest(root: Path) -> dict[str, str]:
@@ -192,13 +195,16 @@ def test_stage_chaining_matches_pipeline(tmp_path, synth_dir):
         )
         == 0
     )
-    assert (c_out / "clustering.jsonl").read_bytes() == (
-        pipe_out / "clustering.jsonl"
-    ).read_bytes()
-    assert (s_out / "interactions.jsonl").read_bytes() == (
-        pipe_out / "interactions.jsonl"
-    ).read_bytes()
-    assert (p_out / "traits.json").read_bytes() == (pipe_out / "traits.json").read_bytes()
+    radar = sorted(f"radar/{p.name}" for p in (pipe_out / "radar").glob("*.svg"))
+    assert radar == ["radar/overlay.svg", "radar/wearer-0.svg"]
+    stage_outputs = {
+        c_out: ["clustering.jsonl", "consistency.json"],
+        s_out: ["interactions.jsonl", "segmentation.json"],
+        p_out: ["traits.json", "traits_table.txt", "profiles.json", *radar],
+    }
+    for stage_out, names in stage_outputs.items():
+        for name in names:
+            assert (stage_out / name).read_bytes() == (pipe_out / name).read_bytes(), name
 
 
 def test_render_command(tmp_path, synth_dir):
@@ -254,6 +260,107 @@ def test_eval_single_method(synth_dir, capsys):
     assert rc == 0
     assert "ahc" in out
     assert "meanshift" not in out
+
+
+def test_eval_scores_only_the_method_a_config_names(tmp_path, synth_dir):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"method": "meanshift"}))
+    out = tmp_path / "eval"
+    rc = main(
+        [
+            "eval",
+            "--obs",
+            str(synth_dir / "observations.jsonl"),
+            "--truth",
+            str(synth_dir / "truth.jsonl"),
+            "--config",
+            str(cfg),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 0
+    doc = json.loads((out / "eval.json").read_text())
+    assert doc["provenance"]["params"]["method"] == "meanshift"
+    assert set(doc["methods"]) == {"meanshift"}
+    assert (out / "eval_table.txt").read_text().count("\n") == 3  # header, rule, one row
+
+
+@pytest.fixture
+def wide_synth_dir(tmp_path):
+    """One wearer with more observations than the bandwidth estimate's 500-point subsample."""
+    config = SynthConfig(
+        seed=5,
+        n_days=1,
+        n_identities=6,
+        within_person_noise=0.04,
+        schedule=tuple(
+            ScheduledInteraction(i % 6, 0, time(9 + i, 0), time(9 + i, 40)) for i in range(7)
+        ),
+    )
+    out = _synth(config, tmp_path / "wide.json", tmp_path / "wide")
+    assert len((out / "observations.jsonl").read_text().splitlines()) > 500
+    return out
+
+
+def test_eval_and_cluster_draw_the_bandwidth_sample_with_the_run_seed(
+    wide_synth_dir, tmp_path, monkeypatch
+):
+    seeds = []
+    real = clustering.estimate_bandwidth
+
+    def spy(observations, sample_size=500, seed=0):
+        seeds.append(seed)
+        return real(observations, sample_size, seed)
+
+    monkeypatch.setattr(clustering, "estimate_bandwidth", spy)
+    obs = str(wide_synth_dir / "observations.jsonl")
+    truth = str(wide_synth_dir / "truth.jsonl")
+    common = ["--obs", obs, "--method", "meanshift", "--seed", "3"]
+    assert main(["eval", *common, "--truth", truth]) == 0
+    assert main(["cluster", *common, "--out", str(tmp_path / "c")]) == 0
+    assert seeds == [3, 3]
+
+
+def test_render_rejects_traits_file_without_wearers(tmp_path, capsys):
+    traits = tmp_path / "traits.json"
+    traits.write_text(json.dumps({"provenance": {"fingerprint": "f"}}))
+    rc = main(["render", "--traits", str(traits), "--out", str(tmp_path / "charts")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    assert "'wearers'" in err
+
+
+def _drop_key(record: dict, key: str) -> dict:
+    del record[key]
+    return record
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda r: _drop_key(r, "minutes_per_person"), "lacks key 'minutes_per_person'"),
+        (lambda r: dict(r, days_analyzed="x"), "invalid literal for int()"),
+        (lambda r: list(r.values()), "list indices must be integers"),
+    ],
+    ids=["missing-trait", "bad-value", "not-an-object"],
+)
+def test_render_rejects_bad_traits_record(tmp_path, synth_dir, capsys, corrupt, message):
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["pipeline", "--obs", obs, "--out", str(tmp_path / "pipe")]) == 0
+    doc = json.loads((tmp_path / "pipe" / "traits.json").read_text())
+    doc["wearers"][0] = corrupt(doc["wearers"][0])
+    traits = tmp_path / "traits.json"
+    traits.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["render", "--traits", str(traits), "--out", str(tmp_path / "charts")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"error: traits file {traits}: wearers[0]")
+    assert message in err
 
 
 def test_config_file_overrides_flags(tmp_path, synth_dir, capsys):

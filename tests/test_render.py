@@ -13,13 +13,11 @@ from egosocial.render import (
     RadarSpec,
     format_minutes_hm,
     format_trait,
-    parse_minutes_hm,
-    parse_radar,
-    parse_rendered_table,
     radar_spec_from_profiles,
     render_radar,
     render_table,
 )
+from oracles import parse_minutes_hm, parse_radar, parse_rendered_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
