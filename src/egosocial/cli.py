@@ -114,10 +114,6 @@ class RunConfig:
     def analytic_params(self) -> dict:
         return asdict(self)
 
-    def fingerprint(self) -> str:
-        canon = json.dumps(self.analytic_params(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
 
 def _allowed_types(hint: object) -> tuple[type, ...]:
     return typing.get_args(hint) or (hint,)
@@ -241,8 +237,15 @@ def _write_json(path: Path, doc: dict) -> None:
     _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _provenance(config: RunConfig) -> dict:
-    return {"fingerprint": config.fingerprint(), "params": config.analytic_params()}
+def _provenance(config: RunConfig, **settled) -> dict:
+    """The parameters an artifact was made with, and their fingerprint.
+
+    ``settled`` replaces fields the command decided itself, such as the
+    methods ``eval`` scored.
+    """
+    params = {**config.analytic_params(), **settled}
+    canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return {"fingerprint": hashlib.sha256(canon.encode()).hexdigest()[:16], "params": params}
 
 
 def _write_clustering(out: Path, per_wearer: PerWearer, reports: dict, prov: dict) -> None:
@@ -409,7 +412,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(render_eval_table(results), end="")
     if args.out:
-        _write_eval(Path(args.out), results, _provenance(config))
+        _write_eval(Path(args.out), results, _provenance(config, method="+".join(methods)))
     return 0
 
 

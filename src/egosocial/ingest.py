@@ -21,7 +21,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class FaceObservation:
             raise ValueError(
                 f"descriptor must have length {DESCRIPTOR_DIM}, got {desc.size}"
             )
-        if not np.all(np.isfinite(desc)):
+        if not np.isfinite(desc).all():
             raise ValueError("descriptor contains non-finite values")
         desc.setflags(write=False)
         object.__setattr__(self, "descriptor", desc)
@@ -117,6 +118,31 @@ class DayCoverage:
         return (self.end - self.start).total_seconds() / 60.0
 
 
+class _WearerPart(NamedTuple):
+    """One wearer's observations and coverage entries, each in the dataset's order."""
+
+    observations: list[FaceObservation]
+    coverage: dict[tuple[str, date], DayCoverage]
+
+
+def _index_wearers(
+    observations: Sequence[FaceObservation], coverage: Mapping[tuple[str, date], DayCoverage]
+) -> dict[str, _WearerPart]:
+    """Every wearer with an observation or a coverage entry, mapped to its part."""
+    index: dict[str, _WearerPart] = {}
+
+    def part(wearer_id: str) -> _WearerPart:
+        if wearer_id not in index:
+            index[wearer_id] = _WearerPart([], {})
+        return index[wearer_id]
+
+    for obs in observations:
+        part(obs.wearer_id).observations.append(obs)
+    for key, entry in coverage.items():
+        part(key[0]).coverage[key] = entry
+    return index
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable, sorted container of observations plus per-day coverage.
@@ -124,7 +150,9 @@ class Dataset:
     Observations are sorted by (wearer_id, timestamp, image_id, face_index)
     and every (wearer, day) present in the observations has a coverage
     entry; coverage days with no observations are legitimate (a day worn
-    with no faces detected).
+    with no faces detected). The per-wearer index behind :meth:`wearers`
+    and :func:`slice_dataset` is built on first use and kept, so the
+    coverage mapping must not change after construction.
     """
 
     observations: tuple[FaceObservation, ...] = ()
@@ -133,14 +161,12 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.observations)
 
-    def wearers(self) -> tuple[str, ...]:
-        seen = {o.wearer_id for o in self.observations}
-        seen.update(w for w, _ in self.coverage)
-        return tuple(sorted(seen))
+    @cached_property
+    def _wearer_index(self) -> dict[str, _WearerPart]:
+        return _index_wearers(self.observations, self.coverage)
 
-    def coverage_for(self, wearer_id: str) -> tuple[DayCoverage, ...]:
-        entries = [c for (w, _), c in self.coverage.items() if w == wearer_id]
-        return tuple(sorted(entries, key=lambda c: c.day))
+    def wearers(self) -> tuple[str, ...]:
+        return tuple(sorted(self._wearer_index))
 
     def descriptor_matrix(self) -> np.ndarray:
         if not self.observations:
@@ -190,12 +216,46 @@ def _record(line: str, line_no: int) -> dict:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed record: {exc.msg}", line_no) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise IngestError(f"malformed record: {exc}", line_no) from None
     if not isinstance(record, dict):
         raise IngestError("record is not an object", line_no)
     return record
 
 
 _OBSERVATION_FIELDS = ("wearer_id", "day", "timestamp", "image_id", "face_index", "descriptor")
+
+# The types json.loads gives a JSON number; bool is neither, so exact-type
+# membership also rejects true/false.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _is_finite_number(value: object) -> bool:
+    if type(value) not in _NUMBER_TYPES:
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
+
+
+def _parse_descriptor(raw: list, line_no: int) -> np.ndarray:
+    """The decoded descriptor as float64, checked as a whole; a walk names a bad entry.
+
+    A valid line costs one type scan, one conversion and one finiteness test.
+    Only a line that fails them is walked entry by entry, to name the first
+    bad entry in the message.
+    """
+    if _NUMBER_TYPES.issuperset(map(type, raw)):
+        try:
+            desc = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float64 range
+            pass
+        else:
+            if np.isfinite(desc).all():
+                return desc
+    bad = next(v for v in raw if not _is_finite_number(v))  # exists: the list check failed
+    raise IngestError(f"non-finite or non-numeric descriptor entry {bad!r}", line_no)
 
 
 def _parse_observation_line(line: str, line_no: int) -> FaceObservation:
@@ -209,11 +269,7 @@ def _parse_observation_line(line: str, line_no: int) -> FaceObservation:
         raise IngestError(
             f"descriptor must be an array of {DESCRIPTOR_DIM} numbers, got {got}", line_no
         )
-    values = []
-    for v in raw_desc:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise IngestError(f"non-finite or non-numeric descriptor entry {v!r}", line_no)
-        values.append(float(v))
+    descriptor = _parse_descriptor(raw_desc, line_no)
     face_index = record["face_index"]
     if not isinstance(face_index, int) or isinstance(face_index, bool) or face_index < 0:
         raise IngestError(f"face_index must be a non-negative integer, got {face_index!r}", line_no)
@@ -224,7 +280,7 @@ def _parse_observation_line(line: str, line_no: int) -> FaceObservation:
             timestamp=_parse_timestamp(record["timestamp"], line_no),
             image_id=str(record["image_id"]),
             face_index=face_index,
-            descriptor=np.array(values),
+            descriptor=descriptor,
         )
     except ValueError as exc:
         raise IngestError(str(exc), line_no) from None
@@ -394,19 +450,17 @@ def slice_dataset(
     wearer_id: str,
     day_range: tuple[date, date] | None = None,
 ) -> Dataset:
-    """Sub-dataset for one wearer, optionally restricted to [first, last] days."""
-    if wearer_id not in dataset.wearers():
+    """Sub-dataset for one wearer, optionally restricted to [first, last] days.
+
+    Reads the dataset's per-wearer index, built on first use, so slicing
+    every wearer in turn costs one pass over the dataset, not one per call.
+    """
+    part = dataset._wearer_index.get(wearer_id)
+    if part is None:
         raise UnknownWearerError(f"unknown wearer id {wearer_id!r}")
-
-    def in_range(day: date) -> bool:
-        return day_range is None or day_range[0] <= day <= day_range[1]
-
-    observations = tuple(
-        o for o in dataset.observations if o.wearer_id == wearer_id and in_range(o.day)
-    )
-    coverage = {
-        key: cov
-        for key, cov in dataset.coverage.items()
-        if key[0] == wearer_id and in_range(key[1])
-    }
-    return Dataset(observations, coverage)
+    observations, coverage = part
+    if day_range is not None:
+        first, last = day_range
+        observations = [o for o in observations if first <= o.day <= last]
+        coverage = {key: cov for key, cov in coverage.items() if first <= key[1] <= last}
+    return Dataset(tuple(observations), dict(coverage))

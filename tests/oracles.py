@@ -241,6 +241,56 @@ def naive_prune(R: np.ndarray, members, member_min: float):
 
 
 # ---------------------------------------------------------------------------
+# observation reader: descriptor check and per-wearer slicing
+
+
+def naive_descriptor(raw: list) -> np.ndarray | str:
+    """Check a decoded descriptor entry by entry.
+
+    Returns the float64 descriptor, or the reject message naming the first
+    entry that is not a finite JSON number (bool is not a number, and an
+    integer too large for a float64 is not finite).
+    """
+    values = []
+    for v in raw:
+        try:
+            ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        except OverflowError:
+            ok = False
+        if not ok:
+            return f"non-finite or non-numeric descriptor entry {v!r}"
+        values.append(float(v))
+    return np.array(values)
+
+
+def naive_wearers(dataset) -> tuple[str, ...]:
+    """Every wearer with an observation or a coverage entry, by a full scan."""
+    seen = {o.wearer_id for o in dataset.observations}
+    seen.update(w for w, _ in dataset.coverage)
+    return tuple(sorted(seen))
+
+
+def naive_slice(dataset, wearer_id: str, day_range=None):
+    """One wearer's (observations, coverage), each filtered in stored order by a
+    full scan of the dataset; None for a wearer the dataset does not know."""
+    if wearer_id not in naive_wearers(dataset):
+        return None
+
+    def in_range(day) -> bool:
+        return day_range is None or day_range[0] <= day <= day_range[1]
+
+    observations = tuple(
+        o for o in dataset.observations if o.wearer_id == wearer_id and in_range(o.day)
+    )
+    coverage = {
+        key: cov
+        for key, cov in dataset.coverage.items()
+        if key[0] == wearer_id and in_range(key[1])
+    }
+    return observations, coverage
+
+
+# ---------------------------------------------------------------------------
 # parsers of the rendered chart and table, for round-trip checks
 
 

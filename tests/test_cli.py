@@ -100,6 +100,22 @@ def test_validate_rejects_truncated_descriptor(tmp_path, synth_dir, capsys):
     assert "128" in err
 
 
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_validate_rejects_oversized_integer_entry_with_line(tmp_path, synth_dir, capsys, digits):
+    # 401 digits overflow a float64; 5,001 pass the interpreter's limit on
+    # integer text (4,300 digits from Python 3.11), so json.loads itself fails.
+    lines = (synth_dir / "observations.jsonl").read_text().splitlines()
+    record = json.loads(lines[3])
+    record["descriptor"][7] = "BIG"
+    lines[3] = json.dumps(record).replace('"BIG"', "1" + "0" * (digits - 1))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["validate", "--obs", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: line 4: ")
+
+
 def test_pipeline_artifacts_and_determinism(tmp_path, synth_dir):
     args = [
         "pipeline",
@@ -284,6 +300,24 @@ def test_eval_scores_only_the_method_a_config_names(tmp_path, synth_dir):
     assert doc["provenance"]["params"]["method"] == "meanshift"
     assert set(doc["methods"]) == {"meanshift"}
     assert (out / "eval_table.txt").read_text().count("\n") == 3  # header, rule, one row
+
+
+def test_eval_provenance_names_the_methods_scored(tmp_path, synth_dir):
+    args = [
+        "eval",
+        "--obs",
+        str(synth_dir / "observations.jsonl"),
+        "--truth",
+        str(synth_dir / "truth.jsonl"),
+    ]
+    assert main(args + ["--out", str(tmp_path / "every")]) == 0
+    assert main(args + ["--method", "ahc", "--out", str(tmp_path / "ahc")]) == 0
+    every = json.loads((tmp_path / "every" / "eval.json").read_text())
+    ahc = json.loads((tmp_path / "ahc" / "eval.json").read_text())
+    assert set(every["methods"]) == {"ahc", "meanshift"}  # spectral needs --k
+    assert every["provenance"]["params"]["method"] == "ahc+meanshift"
+    assert ahc["provenance"]["params"]["method"] == "ahc"
+    assert every["provenance"]["fingerprint"] != ahc["provenance"]["fingerprint"]
 
 
 @pytest.fixture

@@ -5,10 +5,15 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DAY, at, dataset_from_matrix, observations_from_matrix
+from egosocial import ingest
 from egosocial.ingest import (
     Dataset,
+    DayCoverage,
+    FaceObservation,
     IngestError,
     UnknownWearerError,
     load_dataset,
@@ -18,6 +23,7 @@ from egosocial.ingest import (
     serialize_observations,
     slice_dataset,
 )
+from oracles import naive_descriptor, naive_slice, naive_wearers
 
 
 def obs_line(
@@ -78,6 +84,61 @@ def test_non_finite_descriptor_rejected():
     desc[5] = float("nan")
     with pytest.raises(IngestError, match="non-finite"):
         parse_observations(obs_line(descriptor=desc))
+
+
+# Entries that a JSON encoder can write into a descriptor: strings, bools,
+# null, NaN/Infinity, nested values, integers past 2**53 and 2**64 or past the
+# float64 range, negative zero and subnormals.
+_CORRUPTIONS = (
+    "0.5",
+    True,
+    False,
+    None,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    [0.5],
+    {"v": 0.5},
+    2**53 + 1,
+    2**64 + 1,
+    10**400,
+    -(10**400),
+    -0.0,
+    5e-324,
+    1e-310,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 127),
+            st.one_of(st.sampled_from(_CORRUPTIONS), st.floats(), st.integers(-(2**70), 2**70)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    n_before=st.integers(0, 2),
+)
+def test_descriptor_check_matches_entry_by_entry_oracle(seed, edits, n_before):
+    descriptor = np.random.default_rng(seed).standard_normal(128).tolist()
+    for position, value in edits:
+        descriptor[position] = value
+    lines = [obs_line(image_id=f"ok-{i}") for i in range(n_before)]
+    lines.append(obs_line(image_id="edited", descriptor=descriptor))
+    expected = naive_descriptor(json.loads(lines[-1])["descriptor"])
+    if isinstance(expected, str):
+        with pytest.raises(IngestError) as info:
+            parse_observations("\n".join(lines))
+        assert str(info.value) == f"line {n_before + 1}: {expected}"
+        assert info.value.line_no == n_before + 1
+    else:
+        dataset = parse_observations("\n".join(lines))
+        (got,) = [o.descriptor for o in dataset.observations if o.image_id == "edited"]
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_timestamp_day_mismatch_rejected():
@@ -249,3 +310,66 @@ def test_duplicate_coverage_entry_rejected():
     )
     with pytest.raises(IngestError, match="duplicate coverage"):
         parse_coverage(entry + "\n" + entry)
+
+
+def _observation(wearer: str, day: date, hour: int, image_id: str) -> FaceObservation:
+    return FaceObservation(
+        wearer_id=wearer,
+        day=day,
+        timestamp=at(hour, day=day),
+        image_id=image_id,
+        face_index=0,
+        descriptor=np.full(128, float(hour)),
+    )
+
+
+@pytest.fixture
+def unsorted_dataset():
+    """Observations out of wearer and time order, and a wearer ("u0") with coverage only."""
+    d1, d2, d3 = DAY, DAY + timedelta(days=1), DAY + timedelta(days=2)
+    observations = (
+        _observation("u2", d2, 10, "a"),
+        _observation("u1", d1, 12, "b"),
+        _observation("u2", d1, 9, "c"),
+        _observation("u3", d3, 8, "d"),
+        _observation("u1", d1, 8, "e"),
+        _observation("u2", d3, 11, "f"),
+    )
+    coverage = {
+        (w, d): DayCoverage(wearer_id=w, day=d, start=at(7, day=d), end=at(22, day=d))
+        for w, d in (("u2", d3), ("u1", d1), ("u0", d2), ("u2", d1), ("u3", d3), ("u2", d2))
+    }
+    return Dataset(observations, coverage)
+
+
+def test_slice_and_wearers_match_full_scan_oracle(unsorted_dataset):
+    dataset = unsorted_dataset
+    assert dataset.wearers() == naive_wearers(dataset) == ("u0", "u1", "u2", "u3")
+    days = sorted({day for _, day in dataset.coverage})
+    ranges = [None, *((first, last) for first in days for last in days)]
+    for wearer in ("u0", "u1", "u2", "u3", "u9"):
+        for day_range in ranges:
+            expected = naive_slice(dataset, wearer, day_range)
+            if expected is None:
+                with pytest.raises(UnknownWearerError):
+                    slice_dataset(dataset, wearer, day_range)
+                continue
+            part = slice_dataset(dataset, wearer, day_range)
+            assert part.observations == expected[0]
+            assert list(part.coverage.items()) == list(expected[1].items())
+
+
+def test_wearer_index_is_built_once_per_dataset(unsorted_dataset, monkeypatch):
+    calls = []
+    build = ingest._index_wearers
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ingest, "_index_wearers", counted)
+    for _ in range(3):
+        for wearer in unsorted_dataset.wearers():
+            slice_dataset(unsorted_dataset, wearer)
+            slice_dataset(unsorted_dataset, wearer, day_range=(DAY, DAY))
+    assert len(calls) == 1
