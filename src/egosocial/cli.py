@@ -18,12 +18,14 @@ structured JSON config file (--config) overrides individual flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import IO
 
 from . import __version__
 from .clustering import (
@@ -158,16 +160,29 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _announce(config: RunConfig) -> None:
-    params = config.analytic_params()
+def _announce(config: RunConfig, **settled) -> None:
+    """Print the run's parameters; ``settled`` as in :func:`_provenance`."""
+    params = {**config.analytic_params(), **settled}
     summary = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
     print(f"egosocial {__version__} | {summary}", file=sys.stderr)
 
 
+def _open_lines(path: str) -> IO[str]:
+    """Open a line-record input with ``Path.read_text()``'s encoding and newlines.
+
+    The readers take the file one line at a time. A byte the encoding rejects
+    is kept as an escape, so the reader names its line instead of the decoder
+    failing somewhere in a block of the file.
+    """
+    return open(path, errors="surrogateescape")
+
+
 def _load(args: argparse.Namespace) -> Dataset:
-    obs_text = Path(args.obs).read_text()
-    coverage_text = Path(args.coverage).read_text() if getattr(args, "coverage", None) else None
-    return load_dataset(obs_text, coverage_text)
+    coverage = getattr(args, "coverage", None)
+    with _open_lines(args.obs) as obs_file, (
+        _open_lines(coverage) if coverage else contextlib.nullcontext()
+    ) as coverage_file:
+        return load_dataset(obs_file, coverage_file)
 
 
 def _begin(args: argparse.Namespace) -> tuple[RunConfig, Dataset]:
@@ -357,7 +372,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     config, dataset = _begin(args)
-    clusterings = parse_clustering(Path(args.clustering).read_text(), dataset)
+    clusterings = parse_clustering(
+        Path(args.clustering).read_text(errors="surrogateescape"), dataset
+    )
     per_wearer = {w: (slice_dataset(dataset, w), clusterings[w]) for w in sorted(clusterings)}
     interactions, stats = _segment_stage(per_wearer, config.segmentation_params())
     _write_segmentation(Path(args.out), interactions, stats, _provenance(config))
@@ -371,7 +388,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     config, dataset = _begin(args)
-    interactions = parse_interactions(Path(args.interactions).read_text())
+    with _open_lines(args.interactions) as fh:
+        interactions = parse_interactions(fh)
     traits = _traits_stage(dataset, interactions)
     _write_profiles(Path(args.out), traits, _provenance(config))
     print(render_table(traits), end="")
@@ -391,15 +409,17 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     settings = _settings(args)
     config = RunConfig(**settings)
-    _announce(config)
-    dataset = _load(args)
-    truth = parse_ground_truth(Path(args.truth).read_text())
-
     # A method named by flag or by config is the only one scored.
     if "method" in settings:
         methods = [config.method]
     else:
         methods = [m for m in METHODS if m != "spectral" or config.k is not None]
+    scored = "+".join(methods)
+    _announce(config, method=scored)
+    dataset = _load(args)
+    with _open_lines(args.truth) as fh:
+        truth = parse_ground_truth(fh)
+
     params = {m: config.cluster_params(m) for m in methods}
     results = evaluate_methods(
         dataset,
@@ -412,7 +432,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     print(render_eval_table(results), end="")
     if args.out:
-        _write_eval(Path(args.out), results, _provenance(config, method="+".join(methods)))
+        _write_eval(Path(args.out), results, _provenance(config, method=scored))
     return 0
 
 
@@ -430,7 +450,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _write_profiles(out, traits, prov)
 
     if args.truth:
-        truth = parse_ground_truth(Path(args.truth).read_text())
+        with _open_lines(args.truth) as fh:
+            truth = parse_ground_truth(fh)
         pooled = _pooled_clustering(dataset, per_wearer)
         evaluation = MethodEvaluation(
             method=config.method,

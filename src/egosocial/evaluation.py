@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .clustering import AhcParams, Clustering, MeanShiftParams, SpectralParams, cluster
 from .consistency import ConsistencyThresholds, apply_consistency
-from .ingest import Dataset, IngestError, ObservationKey, _iter_lines, _record
+from .ingest import Dataset, IngestError, LineSource, ObservationKey, _iter_lines, _record
 from .render import format_text_table
 
 UNKNOWN_LABEL = "unknown"
@@ -252,10 +252,13 @@ def render_eval_table(results: Mapping[str, MethodEvaluation]) -> str:
 _TRUTH_FIELDS = ("wearer_id", "image_id", "face_index", "label")
 
 
-def parse_ground_truth(text: str) -> GroundTruth:
-    """Read label records: one JSON object per line with wearer, image, face, label."""
+def parse_ground_truth(source: LineSource) -> GroundTruth:
+    """Read label records: one JSON object per line with wearer, image, face, label.
+
+    ``source`` is the whole text or an open text file, read one line at a time.
+    """
     labels: dict[ObservationKey, str] = {}
-    for line_no, line in _iter_lines(text):
+    for line_no, line in _iter_lines(source):
         rec = _record(line, line_no)
         try:
             wearer, image = rec["wearer_id"], rec["image_id"]

@@ -8,6 +8,16 @@ face descriptor. A second, optional stream describes per-day recording
 coverage (the span of the day the camera was actually worn), which is the
 denominator for time-alone analytics.
 
+Every line-record reader here and in the other modules takes either the
+whole text as a string or an open text file, which it reads one line at a
+time, so a reader holds the parsed records plus one line, never the whole
+input. A line is what ``str.splitlines()`` makes of the whole text: it ends
+at ``\n``, ``\r``, ``\r\n``, ``\v``, ``\f``, ``\x1c``-``\x1e``, ``\x85``,
+``\u2028`` or ``\u2029``, and line numbers count from 1. Blank lines and
+lines starting with ``#`` are skipped but still counted. A file opened with
+``errors="surrogateescape"`` lets a reader name the line of a byte that is
+not valid in the file's encoding.
+
 Parsing is strict: malformed lines, wrong descriptor lengths, non-finite
 values, duplicate (image_id, face_index) keys, and timestamp/day
 mismatches are rejecting errors that name the offending line. Nothing is
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -29,6 +40,10 @@ import numpy as np
 DESCRIPTOR_DIM = 128
 
 ObservationKey = tuple[str, str, int]
+
+# What every line-record reader takes: the whole text, or an open text file
+# (any iterable of str lines) read one line at a time.
+LineSource = str | bytes | Iterable[str] | IO[str]
 
 
 class IngestError(ValueError):
@@ -45,6 +60,16 @@ class UnknownWearerError(ValueError):
     """Requested wearer id does not occur in the dataset."""
 
 
+class _CheckedDescriptor(NamedTuple):
+    """A float64 array of DESCRIPTOR_DIM finite values, as the parser has already checked.
+
+    :class:`FaceObservation` takes the array from it without testing it again;
+    any other descriptor value gets the full shape and finiteness checks.
+    """
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class FaceObservation:
     """One detected face: who recorded it, when, where, and its descriptor."""
@@ -57,13 +82,17 @@ class FaceObservation:
     descriptor: np.ndarray
 
     def __post_init__(self):
-        desc = np.asarray(self.descriptor, dtype=np.float64)
-        if desc.shape != (DESCRIPTOR_DIM,):
-            raise ValueError(
-                f"descriptor must have length {DESCRIPTOR_DIM}, got {desc.size}"
-            )
-        if not np.isfinite(desc).all():
-            raise ValueError("descriptor contains non-finite values")
+        desc = self.descriptor
+        if type(desc) is _CheckedDescriptor:
+            desc = desc.array
+        else:
+            desc = np.asarray(desc, dtype=np.float64)
+            if desc.shape != (DESCRIPTOR_DIM,):
+                raise ValueError(
+                    f"descriptor must have length {DESCRIPTOR_DIM}, got {desc.size}"
+                )
+            if not np.isfinite(desc).all():
+                raise ValueError("descriptor contains non-finite values")
         desc.setflags(write=False)
         object.__setattr__(self, "descriptor", desc)
         if self.timestamp.tzinfo is None:
@@ -198,17 +227,41 @@ def _parse_day(raw: object, line_no: int | None) -> date:
         raise IngestError(f"unparseable day {raw!r}", line_no) from None
 
 
-def _iter_lines(source: Iterable[str] | str | bytes | IO[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line) skipping blanks and '#' comments."""
+# surrogateescape decodes each byte the encoding rejects to U+DC80-U+DCFF.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _iter_lines(source: LineSource) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped line), skipping blanks and '#' comments.
+
+    ``source`` is the whole text, or an iterable of lines such as an open
+    text file, which is read one line at a time. Each item is split as
+    ``str.splitlines()`` would split it, so a file's lines are numbered
+    exactly as the lines of its whole text: a text file ends its lines only
+    at ``\n`` (``\r`` and ``\r\n`` are translated), and the other
+    separators fall inside them. A byte that the file's decoder escaped with
+    ``surrogateescape`` is rejected with its line.
+    """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
+        source = source.decode("utf-8", "surrogateescape")
     if isinstance(source, str):
         source = source.splitlines()
-    for no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield no, stripped
+    no = 0
+    for item in source:
+        for line in item.splitlines() or [""]:
+            no += 1
+            if not line.isascii():
+                bad = _ESCAPED_BYTE.search(line)
+                if bad:
+                    raise IngestError(
+                        f"undecodable byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                        f"at column {bad.start() + 1}",
+                        no,
+                    )
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            yield no, stripped
 
 
 def _record(line: str, line_no: int) -> dict:
@@ -242,9 +295,10 @@ def _is_finite_number(value: object) -> bool:
 def _parse_descriptor(raw: list, line_no: int) -> np.ndarray:
     """The decoded descriptor as float64, checked as a whole; a walk names a bad entry.
 
-    A valid line costs one type scan, one conversion and one finiteness test.
-    Only a line that fails them is walked entry by entry, to name the first
-    bad entry in the message.
+    A valid line costs one type scan, one conversion and one finiteness test,
+    the only one: :class:`FaceObservation` takes the result as checked. Only a
+    line that fails them is walked entry by entry, to name the first bad entry
+    in the message.
     """
     if _NUMBER_TYPES.issuperset(map(type, raw)):
         try:
@@ -280,7 +334,7 @@ def _parse_observation_line(line: str, line_no: int) -> FaceObservation:
             timestamp=_parse_timestamp(record["timestamp"], line_no),
             image_id=str(record["image_id"]),
             face_index=face_index,
-            descriptor=descriptor,
+            descriptor=_CheckedDescriptor(descriptor),
         )
     except ValueError as exc:
         raise IngestError(str(exc), line_no) from None
@@ -320,8 +374,8 @@ def _synthesize_coverage(
     return coverage
 
 
-def parse_observations(source: Iterable[str] | str | bytes | IO[str]) -> Dataset:
-    """Parse an observation line stream into a validated Dataset.
+def parse_observations(source: LineSource) -> Dataset:
+    """Parse observation lines, a string or an open text file, into a validated Dataset.
 
     Coverage is synthesized as [first, last] observation timestamp for
     every (wearer, day), flagged ``synthesized``. Use :func:`load_dataset`
@@ -346,8 +400,8 @@ def parse_observations(source: Iterable[str] | str | bytes | IO[str]) -> Dataset
 _COVERAGE_FIELDS = ("wearer_id", "day", "start", "end")
 
 
-def parse_coverage(source: Iterable[str] | str | bytes | IO[str]) -> tuple[DayCoverage, ...]:
-    """Parse a coverage manifest stream (one JSON record per line)."""
+def parse_coverage(source: LineSource) -> tuple[DayCoverage, ...]:
+    """Parse a coverage manifest, a string or an open text file of JSON records, one a line."""
     entries: dict[tuple[str, date], DayCoverage] = {}
     for line_no, line in _iter_lines(source):
         record = _record(line, line_no)
@@ -375,10 +429,13 @@ def parse_coverage(source: Iterable[str] | str | bytes | IO[str]) -> tuple[DayCo
 
 
 def load_dataset(
-    observation_source: Iterable[str] | str | bytes | IO[str],
-    coverage_source: Iterable[str] | str | bytes | IO[str] | None = None,
+    observation_source: LineSource,
+    coverage_source: LineSource | None = None,
 ) -> Dataset:
     """Parse observations plus an optional coverage manifest into a Dataset.
+
+    Each source is a string or an open text file, as :func:`parse_observations`
+    and :func:`parse_coverage` take it.
 
     Explicit manifest entries replace synthesized spans and must contain
     every observation of their (wearer, day); violations reject the load.

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .profile import AXIS_LABELS, SocialProfile, SocialTraits
 
@@ -77,6 +76,16 @@ def radar_spec_from_profiles(
     return RadarSpec(axes=AXIS_LABELS, series=series, overlay=overlay)
 
 
+def _escape(text: str, quote: bool = False) -> str:
+    """XML-escape ``&``, ``<`` and ``>``, and ``"`` too for an attribute value.
+
+    Gives the bytes of ``xml.sax.saxutils.escape``, whose import would pull
+    ``urllib.request``, ``http.client``, ``email`` and ``ssl`` into every command.
+    """
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace('"', "&quot;") if quote else text
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
@@ -102,11 +111,11 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
         f'height="{_fmt(spec.height)}" viewBox="0 0 {_fmt(spec.width)} {_fmt(spec.height)}">'
     )
     if provenance:
-        parts.append(f"  <desc>provenance: {escape(provenance)}</desc>")
+        parts.append(f"  <desc>provenance: {_escape(provenance)}</desc>")
     title = "social profiles (overlay)" if spec.overlay else "social profile"
     parts.append(
         f'  <text x="{_fmt(cx)}" y="{_fmt(0.06 * spec.height)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="18">{escape(title)}</text>'
+        f'font-family="sans-serif" font-size="18">{_escape(title)}</text>'
     )
 
     for frac in GRID_FRACTIONS:
@@ -126,7 +135,7 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
         parts.append(
             f'  <text class="axis-label" x="{_fmt(lx)}" y="{_fmt(ly)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-            f"{escape(label)}</text>"
+            f"{_escape(label)}</text>"
         )
 
     for idx, series in enumerate(spec.series):
@@ -136,7 +145,7 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
         ]
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in ring)
         parts.append(
-            f'  <polygon class="series" data-name="{escape(series.name, {chr(34): "&quot;"})}" '
+            f'  <polygon class="series" data-name="{_escape(series.name, quote=True)}" '
             f'points="{pts}" fill="{color}" fill-opacity="0.22" stroke="{color}" '
             f'stroke-width="2"/>'
         )
@@ -151,7 +160,7 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
         )
         parts.append(
             f'  <text x="32.000000" y="{_fmt(y + 12.0)}" font-family="sans-serif" '
-            f'font-size="13">{escape(series.name)}</text>'
+            f'font-size="13">{_escape(series.name)}</text>'
         )
 
     parts.append(

@@ -18,7 +18,15 @@ from datetime import date, datetime, timedelta
 from typing import Iterable
 
 from .clustering import Clustering
-from .ingest import Dataset, IngestError, _iter_lines, _parse_day, _parse_timestamp, _record
+from .ingest import (
+    Dataset,
+    IngestError,
+    LineSource,
+    _iter_lines,
+    _parse_day,
+    _parse_timestamp,
+    _record,
+)
 
 
 @dataclass(frozen=True)
@@ -171,10 +179,13 @@ def serialize_interactions(interactions: Iterable[Interaction]) -> str:
 _INTERACTION_FIELDS = ("wearer_id", "person_cluster_id", "day", "start", "end", "observation_count")
 
 
-def parse_interactions(text: str) -> tuple[Interaction, ...]:
-    """Read the line format :func:`serialize_interactions` writes."""
+def parse_interactions(source: LineSource) -> tuple[Interaction, ...]:
+    """Read the line format :func:`serialize_interactions` writes.
+
+    ``source`` is the whole text or an open text file, read one line at a time.
+    """
     out = []
-    for line_no, line in _iter_lines(text):
+    for line_no, line in _iter_lines(source):
         rec = _record(line, line_no)
         missing = [f for f in _INTERACTION_FIELDS if f not in rec]
         if missing:

@@ -1,14 +1,24 @@
 from __future__ import annotations
 
+import argparse
+import gc
 import hashlib
 import json
+import subprocess
+import sys
+import tracemalloc
+import warnings
 from datetime import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from egosocial import clustering
+import egosocial
+from conftest import dataset_from_matrix
+from egosocial import cli, clustering
 from egosocial.cli import main
+from egosocial.ingest import serialize_observations
 from egosocial.synth import (
     ScheduledInteraction,
     SynthConfig,
@@ -583,3 +593,129 @@ def test_defaults_announced_on_stderr(synth_dir, tmp_path, capsys):
         "max_gap_min=15.0",
     ):
         assert token in err
+
+
+def test_eval_announces_the_methods_it_scores(synth_dir, capsys):
+    args = ["eval", "--obs", str(synth_dir / "observations.jsonl")]
+    args += ["--truth", str(synth_dir / "truth.jsonl")]
+    assert main(args) == 0
+    assert " method=ahc+meanshift " in capsys.readouterr().err
+    assert main(args + ["--k", "4"]) == 0
+    assert " method=ahc+meanshift+spectral " in capsys.readouterr().err
+    assert main(args + ["--method", "ahc"]) == 0
+    assert " method=ahc " in capsys.readouterr().err
+
+
+def _with_bad_byte(src: Path, dst: Path, line_no: int, column: int) -> Path:
+    lines = src.read_bytes().split(b"\n")
+    line = lines[line_no - 1]
+    lines[line_no - 1] = line[: column - 1] + b"\xff" + line[column - 1 :]
+    dst.write_bytes(b"\n".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("kind", ["obs", "coverage", "truth", "interactions", "clustering"])
+def test_undecodable_byte_rejected_with_line(tmp_path, synth_dir, capsys, kind):
+    obs, cov = str(synth_dir / "observations.jsonl"), str(synth_dir / "coverage.jsonl")
+    pipe = tmp_path / "pipe"
+    assert main(["pipeline", "--obs", obs, "--out", str(pipe)]) == 0
+    sources = {
+        "obs": synth_dir / "observations.jsonl",
+        "coverage": synth_dir / "coverage.jsonl",
+        "truth": synth_dir / "truth.jsonl",
+        "interactions": pipe / "interactions.jsonl",
+        "clustering": pipe / "clustering.jsonl",
+    }
+    bad = str(_with_bad_byte(sources[kind], tmp_path / f"bad-{kind}.jsonl", 2, 9))
+    out = str(tmp_path / "out")
+    argv = {
+        "obs": ["validate", "--obs", bad],
+        "coverage": ["validate", "--obs", obs, "--coverage", bad],
+        "truth": ["pipeline", "--obs", obs, "--truth", bad, "--out", out],
+        "interactions": ["profile", "--obs", obs, "--interactions", bad, "--out", out],
+        "clustering": ["segment", "--obs", obs, "--clustering", bad, "--out", out],
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: line 2: undecodable byte 0xff at column 9"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_validate_reads_any_line_ending_alike(tmp_path, synth_dir, capsys, newline):
+    copies = {}
+    for name in ("observations.jsonl", "coverage.jsonl"):
+        copies[name] = tmp_path / name
+        text = (synth_dir / name).read_text()
+        copies[name].write_bytes(text.replace("\n", newline).encode())
+    capsys.readouterr()
+    assert main(["validate", "--obs", str(synth_dir / "observations.jsonl"),
+                 "--coverage", str(synth_dir / "coverage.jsonl")]) == 0
+    expected = capsys.readouterr()
+    assert main(["validate", "--obs", str(copies["observations.jsonl"]),
+                 "--coverage", str(copies["coverage.jsonl"])]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_file_reading_commands_close_their_files(tmp_path, synth_dir, capsys):
+    obs, cov = str(synth_dir / "observations.jsonl"), str(synth_dir / "coverage.jsonl")
+    truth = str(synth_dir / "truth.jsonl")
+    pipe = tmp_path / "pipe"
+    bad_obs = _with_bad_byte(synth_dir / "observations.jsonl", tmp_path / "bad.jsonl", 2, 5)
+    commands = [
+        (["pipeline", "--obs", obs, "--coverage", cov, "--truth", truth, "--out", str(pipe)], 0),
+        (["validate", "--obs", obs, "--coverage", cov], 0),
+        (["validate", "--obs", str(bad_obs), "--coverage", cov], 2),
+        (["validate", "--obs", obs, "--coverage", str(bad_obs)], 2),
+        (["cluster", "--obs", obs, "--coverage", cov, "--out", str(tmp_path / "c")], 0),
+        (["segment", "--obs", obs, "--clustering", str(pipe / "clustering.jsonl"),
+          "--out", str(tmp_path / "s")], 0),
+        (["profile", "--obs", obs, "--interactions", str(pipe / "interactions.jsonl"),
+          "--out", str(tmp_path / "p")], 0),
+        (["profile", "--obs", obs, "--interactions", str(bad_obs),
+          "--out", str(tmp_path / "p")], 2),
+        (["render", "--traits", str(pipe / "traits.json"), "--out", str(tmp_path / "r")], 0),
+        (["eval", "--obs", obs, "--truth", truth, "--method", "ahc"], 0),
+        (["eval", "--obs", obs, "--truth", str(bad_obs), "--method", "ahc"], 2),
+    ]
+    for argv, code in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(argv) == code, argv
+            gc.collect()
+        leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, (argv, leaked)
+    capsys.readouterr()
+
+
+def test_loading_observations_peaks_below_the_file_size(tmp_path, rng):
+    # The reader holds the parsed observations plus one line: a descriptor's
+    # 128 float64 values take less memory than their text does.
+    path = tmp_path / "obs.jsonl"
+    path.write_text(serialize_observations(dataset_from_matrix(rng.standard_normal((400, 128)))))
+    size = path.stat().st_size
+    args = argparse.Namespace(obs=str(path), coverage=None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dataset = cli._load(args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 400
+    assert peak < size, peak / size
+
+
+def test_importing_the_cli_leaves_out_the_network_modules():
+    # xml.sax.saxutils would import urllib.request, http.client, email and ssl.
+    src = str(Path(egosocial.__file__).resolve().parents[1])
+    code = "import sys, egosocial.cli; print(sorted(m for m in sys.modules if m.startswith(("
+    code += "'urllib.request', 'http', 'email', 'ssl', 'xml'))))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

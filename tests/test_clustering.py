@@ -324,8 +324,10 @@ def test_distances_and_linkage_stay_near_one_dense_matrix(rng):
     finally:
         tracemalloc.stop()
     assert clustering.n_clusters == k
-    assert distance_peak <= 1.5 * dense, distance_peak / dense
-    assert linkage_peak <= 0.25 * dense, linkage_peak / dense
+    # Measured 1.107x and 0.019x (numpy 2.4): the matrix plus one descriptor
+    # copy and 32-row temporaries, and linkage's 32-row gathers.
+    assert distance_peak <= 1.12 * dense, distance_peak / dense
+    assert linkage_peak <= 0.025 * dense, linkage_peak / dense
 
 
 def test_assignment_cross_check(rng):

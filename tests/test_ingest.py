@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 from datetime import date, timedelta
 
@@ -373,3 +374,113 @@ def test_wearer_index_is_built_once_per_dataset(unsorted_dataset, monkeypatch):
             slice_dataset(unsorted_dataset, wearer)
             slice_dataset(unsorted_dataset, wearer, day_range=(DAY, DAY))
     assert len(calls) == 1
+
+
+# --- line streams ---------------------------------------------------------------
+
+# Every separator str.splitlines() ends a line at, "\r\n" as one.
+_SEPARATORS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _text_file(text: str | bytes) -> io.TextIOWrapper:
+    """An open text file of ``text``, decoded as the CLI opens its inputs."""
+    raw = text.encode("utf-8") if isinstance(text, str) else text
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+
+
+def _splitlines_oracle(text: str) -> list[tuple[int, str]]:
+    numbered = enumerate((line.strip() for line in text.splitlines()), start=1)
+    return [(no, line) for no, line in numbered if line and not line.startswith("#")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from(("", " ", "# note", " #x", "{}", '{"a": 1}', "\t\u00e9")),
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+            ),
+            st.sampled_from(_SEPARATORS),
+        ),
+        max_size=12,
+    ),
+    st.booleans(),
+)
+def test_iter_lines_numbers_a_file_as_splitlines_numbers_its_text(pieces, open_end):
+    text = "".join(line + sep for line, sep in pieces)
+    if open_end and pieces:
+        text = text[: -len(pieces[-1][1])]  # no separator after the last line
+    expected = _splitlines_oracle(text)
+    assert list(ingest._iter_lines(text)) == expected
+    assert list(ingest._iter_lines(_text_file(text))) == expected
+    assert list(ingest._iter_lines(text.encode("utf-8"))) == expected
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\r", "\x85"])
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+def test_iter_lines_separator_across_a_read_block(sep, offset):
+    # The text file decodes 8,192 bytes at a time; a "\r\n" split across two
+    # blocks must still end one line.
+    head = "x" * (8192 + offset - 1)
+    text = f"{head}{sep}second{sep}{sep}# c{sep}last"
+    expected = _splitlines_oracle(text)
+    assert [no for no, _ in expected] == [1, 2, 5]
+    assert list(ingest._iter_lines(_text_file(text))) == expected
+
+
+def test_observation_file_read_line_by_line_matches_its_text(rng):
+    text = serialize_observations(dataset_from_matrix(rng.standard_normal((5, 128))))
+    mixed = text.replace("\n", "\u2028", 1).replace("\n", "\r\n", 2)
+    for source in (text, mixed):
+        assert parse_observations(_text_file(source)) == parse_observations(text)
+
+
+@pytest.mark.parametrize(
+    "raw, line_no",
+    [
+        (b"\xff" + obs_line().encode(), 1),
+        (obs_line().encode() + b"\n\n" + obs_line(image_id="~").encode().replace(b"~", b"\xe9"), 3),
+        (b"\n# comment \xc3(\n" + obs_line().encode(), 2),
+        (obs_line().encode() + b"\r" + obs_line(image_id="b").encode()[:-1] + b"\x80}", 2),
+    ],
+    ids=["first-byte", "latin-1-name", "in-a-comment", "after-a-cr"],
+)
+def test_undecodable_byte_names_its_line_and_column(raw, line_no):
+    line = raw.splitlines()[line_no - 1]  # ASCII up to its one bad byte
+    column = next(i for i, b in enumerate(line) if b >= 0x80) + 1
+    expected = f"line {line_no}: undecodable byte 0x{line[column - 1]:02x} at column {column}"
+    for source in (raw, _text_file(raw)):
+        with pytest.raises(IngestError) as info:
+            parse_observations(source)
+        assert str(info.value) == expected
+        assert info.value.line_no == line_no
+
+
+def test_parsed_descriptor_is_tested_for_finiteness_once(monkeypatch):
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    dataset = parse_observations(obs_line(descriptor=[0.5] * 128))
+    assert len(calls) == 1
+    assert not dataset.observations[0].descriptor.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_constructed_observation_still_checks_finiteness(bad):
+    descriptor = np.zeros(128)
+    descriptor[7] = bad
+    with pytest.raises(ValueError, match="^descriptor contains non-finite values$"):
+        FaceObservation(
+            wearer_id="u1",
+            day=DAY,
+            timestamp=at(9),
+            image_id="img",
+            face_index=0,
+            descriptor=descriptor,
+        )

@@ -3,9 +3,13 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from egosocial import render
 from egosocial.profile import SocialTraits, build_profiles
 from egosocial.render import (
     EmptyChartError,
@@ -99,6 +103,34 @@ def test_golden_file_byte_identical():
     profiles = build_profiles(COHORT, provenance="golden")
     svg = render_radar(radar_spec_from_profiles(profiles), provenance="golden")
     assert svg == (GOLDEN / "radar_overlay.svg").read_text()
+
+
+def _sax_escape(text: str, quote: bool = False) -> str:
+    return sax_escape(text, {'"': "&quot;"} if quote else {})
+
+
+_MARKUP = st.text(st.sampled_from('&<>"\'; a&amp;lt;\u00e9'), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_MARKUP, quote=st.booleans())
+def test_escape_matches_saxutils(text, quote):
+    assert render._escape(text, quote=quote) == _sax_escape(text, quote=quote)
+
+
+@pytest.mark.parametrize("overlay", [True, False])
+def test_markup_in_names_labels_and_provenance_renders_as_saxutils_escapes(monkeypatch, overlay):
+    spec = RadarSpec(
+        axes=("a&b", "<c>", 'say "hi"', "x&lt;y", "plain"),
+        series=(RadarSeries('Tom & "Jerry" <3', (0.1,) * 5), RadarSeries("a>b", (0.9,) * 5)),
+        overlay=overlay,
+    )
+    provenance = 'run <1> & "two"'
+    svg = render_radar(spec, provenance=provenance)
+    assert 'data-name="Tom &amp; &quot;Jerry&quot; &lt;3"' in svg
+    assert "<desc>provenance: run &lt;1&gt; &amp; \"two\"</desc>" in svg
+    monkeypatch.setattr(render, "_escape", _sax_escape)
+    assert render_radar(spec, provenance=provenance) == svg
 
 
 def test_out_of_range_values_rejected():
