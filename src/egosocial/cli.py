@@ -52,6 +52,7 @@ from .evaluation import (
 from .ingest import (
     Dataset,
     IngestError,
+    _iter_lines,
     load_dataset,
     serialize_coverage,
     serialize_observations,
@@ -105,7 +106,7 @@ class RunConfig:
             return MeanShiftParams(bandwidth=self.bandwidth)
         if self.k is None:
             raise ValueError("spectral clustering requires --k")
-        return SpectralParams(k=self.k, affinity_scale=self.affinity_scale, seed=self.seed)
+        return SpectralParams(k=self.k, affinity_scale=self.affinity_scale)
 
     def thresholds(self) -> ConsistencyThresholds:
         return ConsistencyThresholds(self.robust_mean, self.reject_mean, self.member_min)
@@ -131,10 +132,18 @@ def _accepts(hint: object, value: object) -> bool:
     return type(value) in allowed
 
 
+def _read_document(path: Path) -> str:
+    """The text of a one-document input; an undecodable byte is named by line and column."""
+    text = path.read_text(errors="surrogateescape")
+    for _ in _iter_lines(text):  # rejects the first escaped byte, naming its line
+        pass
+    return text
+
+
 def _read_config_overrides(path: Path) -> dict:
     """Parse a --config file into RunConfig overrides, checking keys and value types."""
     try:
-        overrides = json.loads(path.read_text())
+        overrides = json.loads(_read_document(path))
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed config {path}: {exc.msg}", exc.lineno) from None
     if not isinstance(overrides, dict):
@@ -303,7 +312,7 @@ def _write_eval(out: Path, results: dict[str, MethodEvaluation], prov: dict) -> 
 
 def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
     """The records and provenance fingerprint of a traits report; names a missing key."""
-    doc = json.loads(path.read_text())
+    doc = json.loads(_read_document(path))
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"traits file {path} lacks key 'wearers' (a list of records)")
@@ -342,7 +351,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = load_config(Path(args.config).read_text())
+    config = load_config(_read_document(Path(args.config)))
     result = generate(config)
     out = Path(args.out)
     _write(out / "observations.jsonl", serialize_observations(result.dataset))
@@ -421,15 +430,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         truth = parse_ground_truth(fh)
 
     params = {m: config.cluster_params(m) for m in methods}
-    results = evaluate_methods(
-        dataset,
-        truth,
-        ahc=params.get("ahc"),
-        meanshift_params=params.get("meanshift"),
-        spectral_params=params.get("spectral"),
-        thresholds=config.thresholds(),
-        seed=config.seed,
-    )
+    results = evaluate_methods(dataset, truth, params, config.thresholds(), config.seed)
     print(render_eval_table(results), end="")
     if args.out:
         _write_eval(Path(args.out), results, _provenance(config, method=scored))

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, FaceObservation, IngestError, _iter_lines, _record
+from .ingest import Dataset, FaceObservation, IngestError, _iter_lines, _non_negative_int, _record
 
 METRICS = ("euclidean", "cosine", "correlation")
 
@@ -78,21 +78,12 @@ class AhcParams:
 @dataclass(frozen=True)
 class MeanShiftParams:
     bandwidth: float | None = None  # None: median pairwise distance of a subsample
-    max_iter: int = 300
-    tol: float = 1e-6
-
-    def to_dict(self) -> dict:
-        return {"bandwidth": self.bandwidth, "max_iter": self.max_iter, "tol": self.tol}
 
 
 @dataclass(frozen=True)
 class SpectralParams:
     k: int = 2
     affinity_scale: float | None = None  # None: median pairwise distance of a subsample
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "affinity_scale": self.affinity_scale, "seed": self.seed}
 
 
 MethodParams = AhcParams | MeanShiftParams | SpectralParams
@@ -121,9 +112,6 @@ class Clustering:
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
-
-    def labels(self) -> np.ndarray:
-        return np.asarray(self.assignment, dtype=np.int64)
 
 
 def validate_clustering(clustering: Clustering) -> None:
@@ -194,25 +182,20 @@ def clustering_from_labels(
 
 
 def _descriptor_rows(observations) -> tuple[np.ndarray, list[str]]:
-    """Extract an (n, d) float matrix and per-row names for error messages."""
-    if isinstance(observations, Dataset):
-        observations = observations.observations
+    """An (n, d) float64 copy of the descriptors, and per-row names for error messages.
+
+    ``observations`` is a 2-D array, whose rows are named by index, or a
+    sequence of :class:`FaceObservation`, named by index and image.
+    """
     if isinstance(observations, np.ndarray):
         X = np.asarray(observations, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("descriptor array must be 2-D")
         return X.copy(), [f"row {i}" for i in range(X.shape[0])]
-    rows = list(observations)
-    if not rows:
+    if not observations:
         raise ValueError("need at least one observation")
-    if isinstance(rows[0], FaceObservation):
-        X = np.stack([o.descriptor for o in rows])
-        names = [f"observation {i} (image {o.image_id!r})" for i, o in enumerate(rows)]
-        return X, names
-    X = np.asarray(rows, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("descriptor array must be 2-D")
-    return X.copy(), [f"row {i}" for i in range(X.shape[0])]
+    X = np.stack([o.descriptor for o in observations])
+    return X, [f"observation {i} (image {o.image_id!r})" for i, o in enumerate(observations)]
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -304,6 +287,9 @@ def compute_distances(
 ) -> DistanceMatrix:
     """Exact pairwise dissimilarities between descriptors.
 
+    ``observations`` is a 2-D descriptor array or a sequence of
+    :class:`~egosocial.ingest.FaceObservation`.
+
     euclidean: L2 distance, after optional per-vector L2 normalization.
     cosine: 1 - cosine similarity.
     correlation: 1 - Pearson correlation (consistent with
@@ -311,7 +297,7 @@ def compute_distances(
 
     Zero vectors under cosine, constant vectors under correlation, and zero
     vectors under normalization raise :class:`DegenerateVectorError` naming
-    the observation.
+    the row, or the observation and its image.
 
     The result is the only n x n float64 buffer: the Gram matrix is turned
     into distances in place, 32 rows at a time, and the upper triangle is
@@ -337,24 +323,17 @@ def compute_distances(
 
     if metric == "euclidean":
         D = _euclidean_upper(X)
-    elif metric == "cosine":
-        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    else:  # one minus the cosine of the raw or, for correlation, the centred rows
+        U = X - X.mean(axis=1, keepdims=True) if metric == "correlation" else X
+        norms = np.sqrt(np.einsum("ij,ij->i", U, U))
         bad = np.flatnonzero(norms == 0.0)
         if bad.size:
-            raise DegenerateVectorError(
-                f"cosine distance undefined for zero descriptor: {names[int(bad[0])]}"
-            )
-        D = _one_minus_gram(X / norms[:, None])
-        _zero_identical_rows(D, X, 1e-12)
-    else:  # correlation
-        centered = X - X.mean(axis=1, keepdims=True)
-        norms = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-        bad = np.flatnonzero(norms == 0.0)
-        if bad.size:
-            raise DegenerateVectorError(
-                f"correlation undefined for constant descriptor: {names[int(bad[0])]}"
-            )
-        D = _one_minus_gram(centered / norms[:, None])
+            undefined = {
+                "cosine": "cosine distance undefined for zero descriptor",
+                "correlation": "correlation undefined for constant descriptor",
+            }[metric]
+            raise DegenerateVectorError(f"{undefined}: {names[int(bad[0])]}")
+        D = _one_minus_gram(U / norms[:, None])
         _zero_identical_rows(D, X, 1e-12)
 
     _mirror_upper(D)
@@ -714,9 +693,9 @@ def spectral(
 def cluster(observations, params: MethodParams, seed: int = 0) -> Clustering:
     """Cluster with the method ``params`` selects.
 
-    A mean-shift bandwidth or spectral affinity scale left as None is
-    estimated with :func:`estimate_bandwidth` on a subsample drawn with
-    ``seed``; the spectral k-means keeps its own ``params.seed``.
+    ``seed`` draws the subsample on which :func:`estimate_bandwidth` estimates
+    a mean-shift bandwidth or spectral affinity scale left as None, and seeds
+    the spectral k-means.
     """
     if isinstance(params, AhcParams):
         return cluster_ahc(observations, params)
@@ -724,12 +703,12 @@ def cluster(observations, params: MethodParams, seed: int = 0) -> Clustering:
         bandwidth = params.bandwidth
         if bandwidth is None:
             bandwidth = estimate_bandwidth(observations, seed=seed)
-        return meanshift(observations, bandwidth, max_iter=params.max_iter, tol=params.tol)
+        return meanshift(observations, bandwidth)
     if isinstance(params, SpectralParams):
         scale = params.affinity_scale
         if scale is None:
             scale = estimate_bandwidth(observations, seed=seed)
-        return spectral(observations, params.k, affinity_scale=scale, seed=params.seed)
+        return spectral(observations, params.k, affinity_scale=scale, seed=seed)
     raise TypeError(f"no clustering method takes {type(params).__name__}")
 
 
@@ -754,7 +733,7 @@ def serialize_clustering(
         dataset, clustering = per_wearer[wearer]
         headers[wearer] = {
             "method": clustering.method_tag,
-            "params": _jsonable(clustering.params_used),
+            "params": clustering.params_used,
         }
         for idx, obs in enumerate(dataset.observations):
             lines.append(
@@ -813,12 +792,10 @@ def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
         missing = [f for f in _CLUSTERING_FIELDS if f not in rec]
         if missing:
             raise IngestError(f"missing fields {missing}", line_no)
-        wearer, image = rec["wearer_id"], rec["image_id"]
-        face, cid = rec["face_index"], rec["cluster_id"]
+        wearer, image, cid = rec["wearer_id"], rec["image_id"], rec["cluster_id"]
         if not (isinstance(wearer, str) and isinstance(image, str)):
             raise IngestError("wearer_id and image_id must be strings", line_no)
-        if not isinstance(face, int) or isinstance(face, bool) or face < 0:
-            raise IngestError(f"face_index must be a non-negative integer, got {face!r}", line_no)
+        face = _non_negative_int(rec, "face_index", line_no)
         if not isinstance(cid, int) or isinstance(cid, bool) or cid < -1:
             raise IngestError(f"cluster_id must be an integer >= -1, got {cid!r}", line_no)
         own = records.setdefault(wearer, {})
@@ -860,15 +837,3 @@ def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
             discarded=tuple(idx for idx, cid in enumerate(labels) if cid == -1),
         )
     return out
-
-
-def _jsonable(value):
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value

@@ -280,7 +280,7 @@ def _prune(R: np.ndarray, members: tuple[int, ...], member_min: float) -> tuple[
 
 def apply_consistency(
     clustering: Clustering,
-    dataset: Dataset | np.ndarray,
+    dataset: Dataset,
     thresholds: ConsistencyThresholds = ConsistencyThresholds(),
 ) -> tuple[Clustering, ConsistencyReport]:
     """Filter a clustering by the correlation consistency rules.
@@ -288,13 +288,11 @@ def apply_consistency(
     Returns the filtered clustering (surviving clusters relabeled densely,
     everything dropped collected in its ``discarded`` pool, merged with any
     pool already present on the input) and a report detailing each original
-    cluster's verdict. Applying the filter a second time with the same
-    thresholds leaves the clustering unchanged.
+    cluster's verdict. ``dataset`` supplies the descriptors of the
+    observations the clustering indexes. Applying the filter a second time
+    with the same thresholds leaves the clustering unchanged.
     """
-    if isinstance(dataset, Dataset):
-        descriptors = dataset.descriptor_matrix()
-    else:
-        descriptors = np.asarray(dataset, dtype=np.float64)
+    descriptors = dataset.descriptor_matrix()
     if len(clustering.assignment) != descriptors.shape[0]:
         raise ValueError(
             f"clustering covers {len(clustering.assignment)} observations but "

@@ -6,18 +6,27 @@ in one predicted cluster that also shares its true label. BCubed
 precision / recall is reported alongside as a robustness check, clearly
 labeled. Observations labeled "unknown" are excluded from scoring;
 observations discarded by the consistency filter are scored as singletons
-by default (they still exist, they just never become interactions).
+(they still exist, they just never become interactions).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .clustering import AhcParams, Clustering, MeanShiftParams, SpectralParams, cluster
+from .clustering import Clustering, MethodParams, cluster
 from .consistency import ConsistencyThresholds, apply_consistency
-from .ingest import Dataset, IngestError, LineSource, ObservationKey, _iter_lines, _record
+from .ingest import (
+    Dataset,
+    IngestError,
+    LineSource,
+    ObservationKey,
+    _iter_lines,
+    _non_negative_int,
+    _record,
+)
 from .render import format_text_table
 
 UNKNOWN_LABEL = "unknown"
@@ -28,9 +37,6 @@ class GroundTruth:
     """Identity labels keyed by (wearer_id, image_id, face_index)."""
 
     labels: Mapping[ObservationKey, str]
-
-    def scored_keys(self) -> set[ObservationKey]:
-        return {k for k, v in self.labels.items() if v != UNKNOWN_LABEL}
 
 
 @dataclass(frozen=True)
@@ -89,20 +95,19 @@ class MethodEvaluation:
         }
 
 
-def _pred_true_labels(
-    clustering: Clustering,
-    dataset: Dataset,
-    truth: GroundTruth,
-    discarded_as_singletons: bool,
-) -> tuple[list[int], list[str]]:
-    """Aligned predicted/true label lists for the scored observations."""
+def _contingency(
+    clustering: Clustering, dataset: Dataset, truth: GroundTruth
+) -> tuple[Counter, Counter, Counter]:
+    """(predicted cluster, true label) counts over the scored observations, and both marginals.
+
+    Discarded observations count as singleton clusters of their own.
+    """
     if len(clustering.assignment) != len(dataset.observations):
         raise ValueError(
             "clustering does not cover the dataset "
             f"({len(clustering.assignment)} vs {len(dataset.observations)} observations)"
         )
-    pred: list[int] = []
-    true: list[str] = []
+    pairs: list[tuple[int, str]] = []
     next_singleton = clustering.n_clusters
     for idx, obs in enumerate(dataset.observations):
         label = truth.labels.get(obs.key)
@@ -112,25 +117,17 @@ def _pred_true_labels(
             continue
         cid = clustering.assignment[idx]
         if cid < 0:
-            if not discarded_as_singletons:
-                continue
             cid = next_singleton
             next_singleton += 1
-        pred.append(cid)
-        true.append(label)
-    return pred, true
+        pairs.append((cid, label))
+    return Counter(pairs), Counter(p for p, _ in pairs), Counter(t for _, t in pairs)
 
 
 def _pair_count(sizes: Iterable[int]) -> int:
     return sum(s * (s - 1) // 2 for s in sizes)
 
 
-def pairwise_prf(
-    clustering: Clustering,
-    dataset: Dataset,
-    truth: GroundTruth,
-    discarded_as_singletons: bool = True,
-) -> EvalReport:
+def pairwise_prf(clustering: Clustering, dataset: Dataset, truth: GroundTruth) -> EvalReport:
     """Pair-counting precision / recall / F over the scored observations.
 
     Uses the contingency-table identities (TP+FP is the number of
@@ -138,17 +135,7 @@ def pairwise_prf(
     counts are exact at any scale. Vacuous denominators score 1 by
     convention.
     """
-    pred, true = _pred_true_labels(clustering, dataset, truth, discarded_as_singletons)
-    n = len(pred)
-
-    joint: dict[tuple[int, str], int] = {}
-    pred_sizes: dict[int, int] = {}
-    true_sizes: dict[str, int] = {}
-    for p, t in zip(pred, true):
-        joint[(p, t)] = joint.get((p, t), 0) + 1
-        pred_sizes[p] = pred_sizes.get(p, 0) + 1
-        true_sizes[t] = true_sizes.get(t, 0) + 1
-
+    joint, pred_sizes, true_sizes = _contingency(clustering, dataset, truth)
     tp = _pair_count(joint.values())
     same_pred = _pair_count(pred_sizes.values())
     same_true = _pair_count(true_sizes.values())
@@ -158,37 +145,26 @@ def pairwise_prf(
     precision = tp / (tp + fp) if tp + fp > 0 else 1.0
     recall = tp / (tp + fn) if tp + fn > 0 else 1.0
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    n = sum(joint.values())
     return EvalReport(
         precision=precision, recall=recall, f_measure=f, tp=tp, fp=fp, fn=fn, n_scored=n
     )
 
 
-def bcubed_prf(
-    clustering: Clustering,
-    dataset: Dataset,
-    truth: GroundTruth,
-    discarded_as_singletons: bool = True,
-) -> BCubedReport:
+def bcubed_prf(clustering: Clustering, dataset: Dataset, truth: GroundTruth) -> BCubedReport:
     """Per-element BCubed precision / recall, averaged over scored observations."""
-    pred, true = _pred_true_labels(clustering, dataset, truth, discarded_as_singletons)
-    if not pred:
+    joint, pred_sizes, true_sizes = _contingency(clustering, dataset, truth)
+    if not joint:
         return BCubedReport(precision=1.0, recall=1.0, f_measure=1.0)
-
-    joint: dict[tuple[int, str], int] = {}
-    pred_sizes: dict[int, int] = {}
-    true_sizes: dict[str, int] = {}
-    for p, t in zip(pred, true):
-        joint[(p, t)] = joint.get((p, t), 0) + 1
-        pred_sizes[p] = pred_sizes.get(p, 0) + 1
-        true_sizes[t] = true_sizes.get(t, 0) + 1
 
     precision = 0.0
     recall = 0.0
     for (p, t), overlap in joint.items():
         precision += overlap * (overlap / pred_sizes[p])
         recall += overlap * (overlap / true_sizes[t])
-    precision /= len(pred)
-    recall /= len(pred)
+    n = sum(joint.values())
+    precision /= n
+    recall /= n
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return BCubedReport(precision=precision, recall=recall, f_measure=f)
 
@@ -196,32 +172,24 @@ def bcubed_prf(
 def evaluate_methods(
     dataset: Dataset,
     truth: GroundTruth,
-    ahc: AhcParams | None = AhcParams(),
-    meanshift_params: MeanShiftParams | None = MeanShiftParams(),
-    spectral_params: SpectralParams | None = None,
+    methods: Mapping[str, MethodParams],
     thresholds: ConsistencyThresholds = ConsistencyThresholds(),
-    discarded_as_singletons: bool = True,
     seed: int = 0,
 ) -> dict[str, MethodEvaluation]:
-    """Run the configured methods over one observation pool and score each.
+    """Cluster one observation pool with each named method and score each.
 
     The whole dataset is clustered as a single pile (the evaluation-set
     regime); the consistency filter is applied to every method before
-    scoring. Pass None to skip a method; spectral needs an explicit k so
-    it is off by default. ``seed`` draws the subsample that estimates a
-    bandwidth or affinity scale left as None.
+    scoring. ``seed`` is passed to :func:`~egosocial.clustering.cluster`.
     """
     results: dict[str, MethodEvaluation] = {}
-    runs = (("ahc", ahc), ("meanshift", meanshift_params), ("spectral", spectral_params))
-    for name, params in runs:
-        if params is None:
-            continue
+    for name, params in methods.items():
         clustering = cluster(dataset.observations, params, seed)
         filtered, _ = apply_consistency(clustering, dataset, thresholds)
         results[name] = MethodEvaluation(
             method=name,
-            pairwise=pairwise_prf(filtered, dataset, truth, discarded_as_singletons),
-            bcubed=bcubed_prf(filtered, dataset, truth, discarded_as_singletons),
+            pairwise=pairwise_prf(filtered, dataset, truth),
+            bcubed=bcubed_prf(filtered, dataset, truth),
             n_clusters=filtered.n_clusters,
             n_discarded=len(filtered.discarded),
         )
@@ -258,21 +226,24 @@ def parse_ground_truth(source: LineSource) -> GroundTruth:
     ``source`` is the whole text or an open text file, read one line at a time.
     """
     labels: dict[ObservationKey, str] = {}
+    seen: dict[ObservationKey, int] = {}
     for line_no, line in _iter_lines(source):
         rec = _record(line, line_no)
-        try:
-            wearer, image = rec["wearer_id"], rec["image_id"]
-            face, label = rec["face_index"], rec["label"]
-        except KeyError:
-            missing = [f for f in _TRUTH_FIELDS if f not in rec]
-            raise IngestError(f"missing fields {missing}", line_no) from None
+        missing = [f for f in _TRUTH_FIELDS if f not in rec]
+        if missing:
+            raise IngestError(f"missing fields {missing}", line_no)
+        wearer, image = rec["wearer_id"], rec["image_id"]
         if not (isinstance(wearer, str) and isinstance(image, str)):
             raise IngestError("wearer_id and image_id must be strings", line_no)
-        try:
-            face = int(face)
-        except (TypeError, ValueError):
-            raise IngestError(f"face_index must be an integer, got {face!r}", line_no) from None
-        labels[(wearer, image, face)] = str(label)
+        key = (wearer, image, _non_negative_int(rec, "face_index", line_no))
+        if key in seen:
+            raise IngestError(
+                f"duplicate (image_id, face_index) = ({image!r}, {key[2]}) "
+                f"for wearer {wearer!r}, first seen on line {seen[key]}",
+                line_no,
+            )
+        seen[key] = line_no
+        labels[key] = str(rec["label"])
     return GroundTruth(labels=labels)
 
 

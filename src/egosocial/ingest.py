@@ -292,6 +292,14 @@ def _is_finite_number(value: object) -> bool:
         return False
 
 
+def _non_negative_int(record: dict, key: str, line_no: int) -> int:
+    """``record[key]`` if it is a JSON integer >= 0 (not a bool, not a float)."""
+    value = record[key]
+    if type(value) is not int or value < 0:
+        raise IngestError(f"{key} must be a non-negative integer, got {value!r}", line_no)
+    return value
+
+
 def _parse_descriptor(raw: list, line_no: int) -> np.ndarray:
     """The decoded descriptor as float64, checked as a whole; a walk names a bad entry.
 
@@ -324,9 +332,7 @@ def _parse_observation_line(line: str, line_no: int) -> FaceObservation:
             f"descriptor must be an array of {DESCRIPTOR_DIM} numbers, got {got}", line_no
         )
     descriptor = _parse_descriptor(raw_desc, line_no)
-    face_index = record["face_index"]
-    if not isinstance(face_index, int) or isinstance(face_index, bool) or face_index < 0:
-        raise IngestError(f"face_index must be a non-negative integer, got {face_index!r}", line_no)
+    face_index = _non_negative_int(record, "face_index", line_no)
     try:
         return FaceObservation(
             wearer_id=str(record["wearer_id"]),
@@ -502,12 +508,8 @@ def serialize_coverage(dataset: Dataset, include_synthesized: bool = False) -> s
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def slice_dataset(
-    dataset: Dataset,
-    wearer_id: str,
-    day_range: tuple[date, date] | None = None,
-) -> Dataset:
-    """Sub-dataset for one wearer, optionally restricted to [first, last] days.
+def slice_dataset(dataset: Dataset, wearer_id: str) -> Dataset:
+    """Sub-dataset for one wearer.
 
     Reads the dataset's per-wearer index, built on first use, so slicing
     every wearer in turn costs one pass over the dataset, not one per call.
@@ -515,9 +517,4 @@ def slice_dataset(
     part = dataset._wearer_index.get(wearer_id)
     if part is None:
         raise UnknownWearerError(f"unknown wearer id {wearer_id!r}")
-    observations, coverage = part
-    if day_range is not None:
-        first, last = day_range
-        observations = [o for o in observations if first <= o.day <= last]
-        coverage = {key: cov for key, cov in coverage.items() if first <= key[1] <= last}
-    return Dataset(tuple(observations), dict(coverage))
+    return Dataset(tuple(part.observations), dict(part.coverage))

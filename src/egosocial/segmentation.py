@@ -23,6 +23,7 @@ from .ingest import (
     IngestError,
     LineSource,
     _iter_lines,
+    _non_negative_int,
     _parse_day,
     _parse_timestamp,
     _record,
@@ -41,12 +42,6 @@ class SegmentationParams:
             raise ValueError("min_event_minutes must be positive")
         if not self.max_gap_minutes > 0:
             raise ValueError("max_gap_minutes must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "min_event_minutes": self.min_event_minutes,
-            "max_gap_minutes": self.max_gap_minutes,
-        }
 
 
 @dataclass(frozen=True)
@@ -193,17 +188,19 @@ def parse_interactions(source: LineSource) -> tuple[Interaction, ...]:
         day = _parse_day(rec["day"], line_no)
         start = _parse_timestamp(rec["start"], line_no)
         end = _parse_timestamp(rec["end"], line_no)
+        cluster_id = _non_negative_int(rec, "person_cluster_id", line_no)
+        count = _non_negative_int(rec, "observation_count", line_no)
         try:
             out.append(
                 Interaction(
                     wearer_id=str(rec["wearer_id"]),
-                    person_cluster_id=int(rec["person_cluster_id"]),
+                    person_cluster_id=cluster_id,
                     day=day,
                     start=start,
                     end=end,
-                    observation_count=int(rec["observation_count"]),
+                    observation_count=count,
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise IngestError(str(exc), line_no) from None
     return tuple(out)

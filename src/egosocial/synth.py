@@ -217,15 +217,25 @@ def generate(config: SynthConfig) -> SynthDataset:
 # config file form
 
 
-def config_from_dict(record: Mapping) -> SynthConfig:
-    schedule = tuple(
-        ScheduledInteraction(
+def _scheduled_interaction(i: int, ev: object) -> ScheduledInteraction:
+    if not isinstance(ev, Mapping):
+        raise SynthConfigError(f"schedule[{i}] must be a JSON object")
+    try:
+        return ScheduledInteraction(
             identity=int(ev["identity"]),
             day=int(ev["day"]),
             start=time.fromisoformat(ev["start"]),
             end=time.fromisoformat(ev["end"]),
         )
-        for ev in record.get("schedule", ())
+    except KeyError as exc:
+        raise SynthConfigError(f"schedule[{i}] lacks key {exc}") from None
+
+
+def config_from_dict(record: Mapping) -> SynthConfig:
+    if not isinstance(record, Mapping):
+        raise SynthConfigError("synth config must hold a JSON object")
+    schedule = tuple(
+        _scheduled_interaction(i, ev) for i, ev in enumerate(record.get("schedule", ()))
     )
     interval = record.get("frame_interval_seconds", (20.0, 30.0))
     return SynthConfig(

@@ -270,23 +270,13 @@ def naive_wearers(dataset) -> tuple[str, ...]:
     return tuple(sorted(seen))
 
 
-def naive_slice(dataset, wearer_id: str, day_range=None):
+def naive_slice(dataset, wearer_id: str):
     """One wearer's (observations, coverage), each filtered in stored order by a
     full scan of the dataset; None for a wearer the dataset does not know."""
     if wearer_id not in naive_wearers(dataset):
         return None
-
-    def in_range(day) -> bool:
-        return day_range is None or day_range[0] <= day <= day_range[1]
-
-    observations = tuple(
-        o for o in dataset.observations if o.wearer_id == wearer_id and in_range(o.day)
-    )
-    coverage = {
-        key: cov
-        for key, cov in dataset.coverage.items()
-        if key[0] == wearer_id and in_range(key[1])
-    }
+    observations = tuple(o for o in dataset.observations if o.wearer_id == wearer_id)
+    coverage = {key: cov for key, cov in dataset.coverage.items() if key[0] == wearer_id}
     return observations, coverage
 
 

@@ -312,8 +312,9 @@ def test_criterion_7_pair_count_identities():
         assert (again.tp, again.fp, again.fn) == (report.tp, report.fp, report.fn)
 
 
-@criterion(8, "pipeline rerun produces a byte-identical artifact tree")
-def test_criterion_8_pipeline_determinism(tmp_path):
+def _criterion_8_pipeline(tmp_path: Path, runs: tuple[str, ...]) -> list[dict[str, str]]:
+    """Synthesize the criterion-8 photostream once, then run ``pipeline --truth`` on it
+    once per name in ``runs``; each run's {relative path: sha256} artifact tree."""
     config = SynthConfig(
         seed=808,
         n_days=2,
@@ -346,10 +347,39 @@ def test_criterion_8_pipeline_determinism(tmp_path):
             if p.is_file()
         }
 
-    tree1 = run(tmp_path / "run1")
-    tree2 = run(tmp_path / "run2")
+    return [run(tmp_path / name) for name in runs]
+
+
+@criterion(8, "pipeline rerun produces a byte-identical artifact tree")
+def test_criterion_8_pipeline_determinism(tmp_path):
+    tree1, tree2 = _criterion_8_pipeline(tmp_path, ("run1", "run2"))
     assert tree1 == tree2
     assert any(name.endswith(".svg") for name in tree1)
+
+
+# sha256 of the criterion-8 pipeline's artifacts, recorded before a refactor of
+# the library that must not change them. consistency.json is left out: its
+# Pearson means depend on the BLAS summation order. Every other file derives
+# from partitions, timestamps and integer ratios.
+CRITERION_8_DIGESTS = {
+    "clustering.jsonl": "b981723015a67f4bcc334afcf059e7385e04f6449344719000a753557cf3b20e",
+    "eval.json": "162e968fb5a262564c999dc61a024fdecc6777428cf66fdb64f978feecf985aa",
+    "eval_table.txt": "3c1d9b1da296fa3d15bc9f86200ea1fb2d99f0d012780d208c8808f01aee8474",
+    "interactions.jsonl": "93acca1531d27f8f861791a5b63196d8b578ac9e543eb36eca8b272a16c5c7b7",
+    "params.json": "6b39b830ee4e58ed70eec1905f9788985dd1f35c95701154240be97c1c10e8fe",
+    "profiles.json": "08e9e613185b8e502e489e1718d95f0528be77698fb063084d8e5fb43af6668f",
+    "radar/overlay.svg": "be9680bc58683ec5c1f8026ea17cd116cc28ab3943287425d956a1577beb0743",
+    "radar/wearer-0.svg": "cb22f6d328cc45660d5faa70751733a7745050fa8a2815ac89f80a81fc2887cf",
+    "segmentation.json": "88332e2650af87fb125da28899f7f482ce974a3d6d7477146aeda151dd13ac48",
+    "traits.json": "fefcad1b6783eadd8a7a196f02603ccf0f82f6387c14d7b3524aad0d27001103",
+    "traits_table.txt": "f189b910d3ef07f0576bc836c74d21873edff0eb4c98cc7ee66f74bf44aa146e",
+}
+
+
+def test_criterion_8_artifacts_match_recorded_digests(tmp_path):
+    (tree,) = _criterion_8_pipeline(tmp_path, ("run",))
+    assert tree.pop("consistency.json")
+    assert tree == CRITERION_8_DIGESTS
 
 
 @criterion(9, "5,000-observation clustering under 10 s and 1 GB")

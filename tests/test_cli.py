@@ -614,17 +614,26 @@ def _with_bad_byte(src: Path, dst: Path, line_no: int, column: int) -> Path:
     return dst
 
 
-@pytest.mark.parametrize("kind", ["obs", "coverage", "truth", "interactions", "clustering"])
+@pytest.mark.parametrize(
+    "kind",
+    ["obs", "coverage", "truth", "interactions", "clustering", "config", "traits", "synth-config"],
+)
 def test_undecodable_byte_rejected_with_line(tmp_path, synth_dir, capsys, kind):
     obs, cov = str(synth_dir / "observations.jsonl"), str(synth_dir / "coverage.jsonl")
     pipe = tmp_path / "pipe"
     assert main(["pipeline", "--obs", obs, "--out", str(pipe)]) == 0
+    config, synth_config = tmp_path / "run.json", tmp_path / "synth-indented.json"
+    config.write_text(json.dumps({"seed": 1, "k": 2}, indent=2))
+    synth_config.write_text(json.dumps(json.loads((tmp_path / "synth.json").read_text()), indent=2))
     sources = {
         "obs": synth_dir / "observations.jsonl",
         "coverage": synth_dir / "coverage.jsonl",
         "truth": synth_dir / "truth.jsonl",
         "interactions": pipe / "interactions.jsonl",
         "clustering": pipe / "clustering.jsonl",
+        "config": config,
+        "traits": pipe / "traits.json",
+        "synth-config": synth_config,
     }
     bad = str(_with_bad_byte(sources[kind], tmp_path / f"bad-{kind}.jsonl", 2, 9))
     out = str(tmp_path / "out")
@@ -634,11 +643,91 @@ def test_undecodable_byte_rejected_with_line(tmp_path, synth_dir, capsys, kind):
         "truth": ["pipeline", "--obs", obs, "--truth", bad, "--out", out],
         "interactions": ["profile", "--obs", obs, "--interactions", bad, "--out", out],
         "clustering": ["segment", "--obs", obs, "--clustering", bad, "--out", out],
+        "config": ["cluster", "--obs", obs, "--config", bad, "--out", out],
+        "traits": ["render", "--traits", bad, "--out", out],
+        "synth-config": ["synth", "--config", bad, "--out", out],
     }[kind]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "error: line 2: undecodable byte 0xff at column 9"
+
+
+_FACE_INDEX = "face_index must be a non-negative integer, got "
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda ls: _edit_record(ls[2], "face_index", 0.7), _FACE_INDEX + "0.7"),
+        (lambda ls: _edit_record(ls[2], "face_index", True), _FACE_INDEX + "True"),
+        (lambda ls: _edit_record(ls[2], "face_index", "0"), _FACE_INDEX + "'0'"),
+        (lambda ls: _edit_record(ls[2], "face_index", -1), _FACE_INDEX + "-1"),
+        (
+            lambda ls: _edit_record(ls[0], "label", "someone-else"),
+            "duplicate (image_id, face_index) = ('img-000000', 0) for wearer 'wearer-0', "
+            "first seen on line 1",
+        ),
+    ],
+    ids=["float-face-index", "bool-face-index", "string-face-index", "negative-face-index",
+         "duplicate-key"],
+)
+def test_bad_truth_record_rejected_with_line(tmp_path, synth_dir, capsys, corrupt, message):
+    lines = (synth_dir / "truth.jsonl").read_text().splitlines()
+    lines[2] = corrupt(lines)
+    bad = tmp_path / "truth.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["eval", "--obs", obs, "--truth", str(bad), "--method", "ahc"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: line 3: {message}"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("person_cluster_id", 1.5),
+        ("person_cluster_id", "2"),
+        ("observation_count", True),
+        ("observation_count", -3),
+    ],
+)
+def test_non_integer_interaction_field_rejected_with_line(
+    tmp_path, synth_dir, capsys, field, value
+):
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["pipeline", "--obs", obs, "--out", str(tmp_path / "pipe")]) == 0
+    lines = (tmp_path / "pipe" / "interactions.jsonl").read_text().splitlines()
+    lines[1] = _edit_record(lines[1], field, value)
+    bad = tmp_path / "interactions.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["profile", "--obs", obs, "--interactions", str(bad), "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: line 2: {field} must be a non-negative integer, got {value!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"n_identities": 2, "schedule": [
+                {"identity": 0, "day": 0, "start": "09:00", "end": "09:10"},
+                {"day": 0, "start": "10:00", "end": "10:10"},
+            ]},
+            "schedule[1] lacks key 'identity'",
+        ),
+        ({"schedule": [3]}, "schedule[0] must be a JSON object"),
+        ([{"seed": 1}], "synth config must hold a JSON object"),
+    ],
+    ids=["missing-identity", "entry-not-an-object", "not-an-object"],
+)
+def test_bad_synth_config_rejected(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])

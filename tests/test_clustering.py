@@ -373,7 +373,7 @@ def test_meanshift_recovers_three_gaussians(rng):
     labels_true = np.repeat(np.arange(3), 8)
     X = centers[labels_true] + 0.05 * rng.standard_normal((24, 128))
     clustering = meanshift(X, bandwidth=float(inter) / 2.0)
-    got = {frozenset(np.flatnonzero(clustering.labels() == c)) for c in range(clustering.n_clusters)}
+    got = {frozenset(members) for members in clustering.clusters}
     want = {frozenset(np.flatnonzero(labels_true == c)) for c in range(3)}
     assert got == want
 

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import dataset_from_matrix
-from egosocial.clustering import AhcParams, clustering_from_clusters, clustering_from_labels
-from egosocial.evaluation import (
-    GroundTruth,
+from egosocial.clustering import (
+    AhcParams,
     MeanShiftParams,
     SpectralParams,
+    clustering_from_clusters,
+    clustering_from_labels,
+)
+from egosocial.evaluation import (
+    GroundTruth,
     bcubed_prf,
     evaluate_methods,
     pairwise_prf,
@@ -173,9 +177,6 @@ def test_discarded_scored_as_singletons(rng):
     report = pairwise_prf(clustering, dataset, truth)
     # pairs: (0,1) TP; (0,2),(0,3),(1,2),(1,3),(2,3) all FN
     assert (report.tp, report.fp, report.fn) == (1, 0, 5)
-    excl = pairwise_prf(clustering, dataset, truth, discarded_as_singletons=False)
-    assert excl.n_scored == 2
-    assert (excl.tp, excl.fp, excl.fn) == (1, 0, 0)
 
 
 def test_bcubed_perfect_is_one(rng):
@@ -204,13 +205,12 @@ def test_evaluate_methods_three_rows(rng):
     truth = GroundTruth(
         labels={o.key: f"p{l}" for o, l in zip(dataset.observations, labels)}
     )
-    results = evaluate_methods(
-        dataset,
-        truth,
-        ahc=AhcParams(),
-        meanshift_params=MeanShiftParams(bandwidth=0.5),
-        spectral_params=SpectralParams(k=4, affinity_scale=0.7, seed=0),
-    )
+    methods = {
+        "ahc": AhcParams(),
+        "meanshift": MeanShiftParams(bandwidth=0.5),
+        "spectral": SpectralParams(k=4, affinity_scale=0.7),
+    }
+    results = evaluate_methods(dataset, truth, methods)
     assert set(results) == {"ahc", "meanshift", "spectral"}
     assert results["ahc"].pairwise.f_measure == 1.0
     table = render_eval_table(results)
@@ -222,13 +222,12 @@ def test_degenerate_single_identity_dataset(rng):
     X = np.tile(rng.standard_normal(128), (6, 1)) + 0.001 * rng.standard_normal((6, 128))
     dataset = dataset_from_matrix(X)
     truth = GroundTruth(labels={o.key: "only" for o in dataset.observations})
-    results = evaluate_methods(
-        dataset,
-        truth,
-        ahc=AhcParams(cut_threshold=10.0),
-        meanshift_params=MeanShiftParams(bandwidth=10.0),
-        spectral_params=SpectralParams(k=1, affinity_scale=1.0),
-    )
+    methods = {
+        "ahc": AhcParams(cut_threshold=10.0),
+        "meanshift": MeanShiftParams(bandwidth=10.0),
+        "spectral": SpectralParams(k=1, affinity_scale=1.0),
+    }
+    results = evaluate_methods(dataset, truth, methods)
     for ev in results.values():
         assert ev.pairwise.recall == 1.0
 

@@ -283,17 +283,6 @@ def test_slice_by_wearer(rng):
     assert part.observations == expected
 
 
-def test_slice_by_day_range(rng):
-    X = rng.standard_normal((4, 128))
-    day2 = DAY + timedelta(days=1)
-    obs = observations_from_matrix(X[:2], day=DAY) + observations_from_matrix(
-        X[2:], day=day2
-    )
-    dataset = parse_observations(serialize_observations(Dataset(tuple(obs), {})))
-    part = slice_dataset(dataset, "u1", day_range=(day2, day2))
-    assert {o.day for o in part.observations} == {day2}
-
-
 def test_slice_unknown_wearer_rejected(rng):
     dataset = dataset_from_matrix(rng.standard_normal((2, 128)))
     with pytest.raises(UnknownWearerError):
@@ -346,18 +335,15 @@ def unsorted_dataset():
 def test_slice_and_wearers_match_full_scan_oracle(unsorted_dataset):
     dataset = unsorted_dataset
     assert dataset.wearers() == naive_wearers(dataset) == ("u0", "u1", "u2", "u3")
-    days = sorted({day for _, day in dataset.coverage})
-    ranges = [None, *((first, last) for first in days for last in days)]
     for wearer in ("u0", "u1", "u2", "u3", "u9"):
-        for day_range in ranges:
-            expected = naive_slice(dataset, wearer, day_range)
-            if expected is None:
-                with pytest.raises(UnknownWearerError):
-                    slice_dataset(dataset, wearer, day_range)
-                continue
-            part = slice_dataset(dataset, wearer, day_range)
-            assert part.observations == expected[0]
-            assert list(part.coverage.items()) == list(expected[1].items())
+        expected = naive_slice(dataset, wearer)
+        if expected is None:
+            with pytest.raises(UnknownWearerError):
+                slice_dataset(dataset, wearer)
+            continue
+        part = slice_dataset(dataset, wearer)
+        assert part.observations == expected[0]
+        assert list(part.coverage.items()) == list(expected[1].items())
 
 
 def test_wearer_index_is_built_once_per_dataset(unsorted_dataset, monkeypatch):
@@ -372,7 +358,6 @@ def test_wearer_index_is_built_once_per_dataset(unsorted_dataset, monkeypatch):
     for _ in range(3):
         for wearer in unsorted_dataset.wearers():
             slice_dataset(unsorted_dataset, wearer)
-            slice_dataset(unsorted_dataset, wearer, day_range=(DAY, DAY))
     assert len(calls) == 1
 
 
