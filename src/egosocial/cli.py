@@ -23,7 +23,7 @@ import hashlib
 import json
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import IO
 
@@ -123,13 +123,21 @@ def _allowed_types(hint: object) -> tuple[type, ...]:
 
 
 def _accepts(hint: object, value: object) -> bool:
-    """Whether a JSON value fits a RunConfig field annotation."""
+    """Whether a JSON value fits a record field's annotation."""
     allowed = set(_allowed_types(hint))
     if float in allowed:
         allowed.add(int)  # JSON writes whole numbers without a fraction
     if isinstance(value, bool):  # bool is an int subclass; only bool fields take it
         return bool in allowed
     return type(value) in allowed
+
+
+def _check_value(name: str, hint: object, value: object) -> None:
+    """Reject a JSON value that does not fit the annotation ``hint``; ``name`` says where it is."""
+    if not _accepts(hint, value):
+        names = ("null" if t is type(None) else t.__name__ for t in _allowed_types(hint))
+        expected = " or ".join(names)
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 def _read_document(path: Path) -> str:
@@ -152,11 +160,7 @@ def _read_config_overrides(path: Path) -> dict:
     for key, value in overrides.items():
         if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
-        if not _accepts(hints[key], value):
-            expected = " or ".join(
-                "null" if t is type(None) else t.__name__ for t in _allowed_types(hints[key])
-            )
-            raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
+        _check_value(f"config key {key!r}", hints[key], value)
     return overrides
 
 
@@ -258,7 +262,8 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``doc`` as sorted, indented JSON; a dataclass record in it is written as its fields."""
+    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=vars) + "\n")
 
 
 def _provenance(config: RunConfig, **settled) -> dict:
@@ -296,7 +301,7 @@ def _write_charts(out: Path, profiles: tuple[SocialProfile, ...], provenance: st
 
 def _write_profiles(out: Path, traits: list[SocialTraits], prov: dict) -> None:
     profiles = build_profiles(traits, provenance=prov["fingerprint"])
-    _write_json(out / "traits.json", {"provenance": prov, "wearers": [t.to_dict() for t in traits]})
+    _write_json(out / "traits.json", {"provenance": prov, "wearers": traits})
     _write(out / "traits_table.txt", render_table(traits))
     _write_json(
         out / "profiles.json", {"provenance": prov, "profiles": [p.to_dict() for p in profiles]}
@@ -305,25 +310,29 @@ def _write_profiles(out: Path, traits: list[SocialTraits], prov: dict) -> None:
 
 
 def _write_eval(out: Path, results: dict[str, MethodEvaluation], prov: dict) -> None:
-    methods = {name: ev.to_dict() for name, ev in results.items()}
-    _write_json(out / "eval.json", {"provenance": prov, "methods": methods})
+    _write_json(out / "eval.json", {"provenance": prov, "methods": results})
     _write(out / "eval_table.txt", render_eval_table(results))
 
 
 def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
-    """The records and provenance fingerprint of a traits report; names a missing key."""
+    """The records and provenance fingerprint of a traits report; names a missing key
+    or a value whose JSON type does not fit its field."""
     doc = json.loads(_read_document(path))
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"traits file {path} lacks key 'wearers' (a list of records)")
+    hints = typing.get_type_hints(SocialTraits)
     traits = []
     for i, record in enumerate(records):
-        try:
-            traits.append(SocialTraits.from_dict(record))
-        except KeyError as exc:
-            raise ValueError(f"traits file {path}: wearers[{i}] lacks key {exc}") from None
-        except (TypeError, ValueError) as exc:  # not an object, or a bad value
-            raise ValueError(f"traits file {path}: wearers[{i}]: {exc}") from None
+        where = f"traits file {path}: wearers[{i}]"
+        if not isinstance(record, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        for field in fields(SocialTraits):
+            if field.name in record:
+                _check_value(f"{where}: key {field.name!r}", hints[field.name], record[field.name])
+            elif field.default is MISSING:
+                raise ValueError(f"{where} lacks key {field.name!r}")
+        traits.append(SocialTraits(**{name: record[name] for name in hints if name in record}))
     return traits, doc.get("provenance", {}).get("fingerprint", "unspecified")
 
 
@@ -575,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # IngestError and SynthConfigError too
+    except (ValueError, OSError) as exc:  # IngestError, SynthConfigError, unreadable paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,13 +67,6 @@ class AhcParams:
         if not self.cut_threshold > 0:
             raise ValueError("cut_threshold must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "cut_threshold": self.cut_threshold,
-            "normalize_descriptors": self.normalize_descriptors,
-        }
-
 
 @dataclass(frozen=True)
 class MeanShiftParams:
@@ -507,7 +500,7 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     if n == 0:
         raise ValueError("cannot cluster an empty distance matrix")
 
-    params_used = {"method": "ahc", **params.to_dict()}
+    params_used = {"method": "ahc", **vars(params)}
     cut = params.cut_threshold
     kappa = 4.0 * n * 2.0**-53
     final: list[list[int]] = []

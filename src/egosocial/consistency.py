@@ -86,13 +86,6 @@ class ConsistencyThresholds:
         if not (-1.0 <= self.member_min <= 1.0):
             raise ValueError("member_min must lie in [-1, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "robust_mean": self.robust_mean,
-            "reject_mean": self.reject_mean,
-            "member_min": self.member_min,
-        }
-
 
 @dataclass(frozen=True)
 class ClusterVerdict:
@@ -105,17 +98,6 @@ class ClusterVerdict:
     status: str
     removed_members: tuple[int, ...] = ()
     surviving_cluster_id: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "size": self.size,
-            "mean_pairwise_r": self.mean_pairwise_r,
-            "final_mean_pairwise_r": self.final_mean_pairwise_r,
-            "status": self.status,
-            "removed_members": list(self.removed_members),
-            "surviving_cluster_id": self.surviving_cluster_id,
-        }
 
 
 @dataclass(frozen=True)
@@ -132,10 +114,11 @@ class ConsistencyReport:
         return tally
 
     def to_dict(self) -> dict:
+        """The JSON form: the records themselves, plus the status tally."""
         return {
-            "thresholds": self.thresholds.to_dict(),
+            "thresholds": self.thresholds,
             "status_counts": self.counts(),
-            "clusters": [v.to_dict() for v in self.verdicts],
+            "clusters": self.verdicts,
         }
 
 
@@ -305,88 +288,42 @@ def apply_consistency(
 
     for cluster_id, members in enumerate(clustering.clusters):
         members = tuple(members)
+        removed: tuple[int, ...] = ()  # pruned: in removal order; rejected: all
         if len(members) == 1:
-            surviving.append(members)
-            verdicts.append(
-                ClusterVerdict(
-                    cluster_id=cluster_id,
-                    size=1,
-                    mean_pairwise_r=None,
-                    final_mean_pairwise_r=None,
-                    status=STATUS_SINGLETON,
-                    surviving_cluster_id=len(surviving) - 1,
-                )
-            )
-            continue
-
-        vectors = descriptors[list(members)]
-        R = pairwise_pearson_matrix(vectors)
-        mean_r = _masked_mean(R, list(range(len(members))))
-
-        if mean_r is not None and mean_r >= thresholds.robust_mean:
-            surviving.append(members)
-            verdicts.append(
-                ClusterVerdict(
-                    cluster_id=cluster_id,
-                    size=len(members),
-                    mean_pairwise_r=mean_r,
-                    final_mean_pairwise_r=mean_r,
-                    status=STATUS_ROBUST,
-                    surviving_cluster_id=len(surviving) - 1,
-                )
-            )
-            continue
-
-        if mean_r is not None and mean_r < thresholds.reject_mean:
-            discarded.extend(members)
-            verdicts.append(
-                ClusterVerdict(
-                    cluster_id=cluster_id,
-                    size=len(members),
-                    mean_pairwise_r=mean_r,
-                    final_mean_pairwise_r=mean_r,
-                    status=STATUS_REJECTED,
-                    removed_members=members,
-                )
-            )
-            continue
-
-        # Middle band (or no valid pair at all): prune worst-first until every
-        # remaining member clears the floor. Ties go to the smallest
-        # observation index so the loop is order-free and deterministic.
-        current, removed = _prune(R, members, thresholds.member_min)
-
-        final_mean = _masked_mean(R, current) if len(current) >= 2 else None
-        if len(current) >= 2 and final_mean is not None and final_mean >= thresholds.reject_mean:
-            kept = tuple(members[p] for p in current)
-            surviving.append(kept)
-            discarded.extend(removed)
-            verdicts.append(
-                ClusterVerdict(
-                    cluster_id=cluster_id,
-                    size=len(members),
-                    mean_pairwise_r=mean_r,
-                    final_mean_pairwise_r=final_mean,
-                    status=STATUS_PRUNED,
-                    removed_members=tuple(removed),
-                    surviving_cluster_id=len(surviving) - 1,
-                )
-            )
+            status, mean_r, final_mean = STATUS_SINGLETON, None, None
         else:
-            discarded.extend(members)
-            verdicts.append(
-                ClusterVerdict(
-                    cluster_id=cluster_id,
-                    size=len(members),
-                    mean_pairwise_r=mean_r,
-                    final_mean_pairwise_r=final_mean,
-                    status=STATUS_REJECTED,
-                    removed_members=members,
-                )
+            R = pairwise_pearson_matrix(descriptors[list(members)])
+            mean_r = final_mean = _masked_mean(R, list(range(len(members))))
+            if mean_r is not None and mean_r >= thresholds.robust_mean:
+                status = STATUS_ROBUST
+            elif mean_r is not None and mean_r < thresholds.reject_mean:
+                status = STATUS_REJECTED
+            else:
+                # Middle band (or no valid pair at all): prune worst-first until
+                # every remaining member clears the floor. Ties go to the smallest
+                # observation index so the loop is order-free and deterministic.
+                current, pruned = _prune(R, members, thresholds.member_min)
+                final_mean = _masked_mean(R, current) if len(current) >= 2 else None
+                if final_mean is not None and final_mean >= thresholds.reject_mean:
+                    status, removed = STATUS_PRUNED, tuple(pruned)
+                else:
+                    status = STATUS_REJECTED
+        surviving_id = None
+        if status == STATUS_REJECTED:
+            removed = members
+        else:
+            gone = set(removed)
+            surviving.append(tuple(m for m in members if m not in gone))
+            surviving_id = len(surviving) - 1
+        discarded.extend(removed)
+        verdicts.append(
+            ClusterVerdict(
+                cluster_id, len(members), mean_r, final_mean, status, removed, surviving_id
             )
+        )
 
     params = dict(clustering.params_used)
-    params["consistency"] = thresholds.to_dict()
+    params["consistency"] = dict(vars(thresholds))
     filtered = clustering_from_clusters(
         surviving,
         n_observations=len(clustering.assignment),

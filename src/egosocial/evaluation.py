@@ -51,30 +51,12 @@ class EvalReport:
     fn: int
     n_scored: int
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "n_scored": self.n_scored,
-        }
-
 
 @dataclass(frozen=True)
 class BCubedReport:
     precision: float
     recall: float
     f_measure: float
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-        }
 
 
 @dataclass(frozen=True)
@@ -84,15 +66,6 @@ class MethodEvaluation:
     bcubed: BCubedReport
     n_clusters: int
     n_discarded: int
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "pairwise": self.pairwise.to_dict(),
-            "bcubed": self.bcubed.to_dict(),
-            "n_clusters": self.n_clusters,
-            "n_discarded": self.n_discarded,
-        }
 
 
 def _contingency(

@@ -414,9 +414,9 @@ def parse_coverage(source: LineSource) -> tuple[DayCoverage, ...]:
         missing = [f for f in _COVERAGE_FIELDS if f not in record]
         if missing:
             raise IngestError(f"missing fields {missing}", line_no)
-        image_count = record.get("image_count", 0)
-        if not isinstance(image_count, int) or isinstance(image_count, bool) or image_count < 0:
-            raise IngestError(f"image_count must be a non-negative integer", line_no)
+        image_count = 0
+        if "image_count" in record:
+            image_count = _non_negative_int(record, "image_count", line_no)
         try:
             entry = DayCoverage(
                 wearer_id=str(record["wearer_id"]),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .ingest import DayCoverage
 from .segmentation import Interaction, daily_interaction_timeline
@@ -60,31 +60,6 @@ class SocialTraits:
             self.minutes_alone_per_day,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "wearer_id": self.wearer_id,
-            "persons_per_day": self.persons_per_day,
-            "interactions_per_day": self.interactions_per_day,
-            "minutes_per_interaction": self.minutes_per_interaction,
-            "minutes_per_person": self.minutes_per_person,
-            "minutes_alone_per_day": self.minutes_alone_per_day,
-            "days_analyzed": self.days_analyzed,
-            "no_interactions": self.no_interactions,
-        }
-
-    @classmethod
-    def from_dict(cls, record: Mapping) -> "SocialTraits":
-        return cls(
-            wearer_id=record["wearer_id"],
-            persons_per_day=float(record["persons_per_day"]),
-            interactions_per_day=float(record["interactions_per_day"]),
-            minutes_per_interaction=float(record["minutes_per_interaction"]),
-            minutes_per_person=float(record["minutes_per_person"]),
-            minutes_alone_per_day=float(record["minutes_alone_per_day"]),
-            days_analyzed=int(record["days_analyzed"]),
-            no_interactions=bool(record.get("no_interactions", False)),
-        )
-
 
 @dataclass(frozen=True)
 class SocialProfile:
@@ -103,10 +78,11 @@ class SocialProfile:
             raise ValueError("provenance must be non-empty")
 
     def to_dict(self) -> dict:
+        """The JSON form: the record's fields plus the axis labels."""
         return {
-            "traits": self.traits.to_dict(),
-            "normalized_axes": list(self.normalized_axes),
-            "axis_labels": list(AXIS_LABELS),
+            "traits": self.traits,
+            "normalized_axes": self.normalized_axes,
+            "axis_labels": AXIS_LABELS,
             "provenance": self.provenance,
         }
 

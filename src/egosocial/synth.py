@@ -14,6 +14,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .evaluation import GroundTruth
-from .ingest import DESCRIPTOR_DIM, Dataset, DayCoverage, FaceObservation
+from .ingest import DESCRIPTOR_DIM, Dataset, DayCoverage, FaceObservation, _is_finite_number
 
 
 class SynthConfigError(ValueError):
@@ -217,40 +218,85 @@ def generate(config: SynthConfig) -> SynthDataset:
 # config file form
 
 
+def _is_str(value: object) -> bool:
+    return type(value) is str
+
+
+# What each config value must be in JSON: its description, the test the JSON
+# value passes, and how it is read.
+_JSON_KINDS = {
+    int: ("an integer", lambda v: type(v) is int, int),
+    float: ("a finite number", _is_finite_number, float),
+    str: ("a string", _is_str, str),
+    time: ("an ISO time string", _is_str, time.fromisoformat),
+    date: ("an ISO date string", _is_str, date.fromisoformat),
+}
+
+
+def _typed(name: str, value: object, kind: type) -> object:
+    """``value`` read as ``kind``; any other JSON value is rejected by ``name``.
+
+    Integers take only JSON integers and numbers take finite integers or floats,
+    never bools; times and dates take ISO strings.
+    """
+    description, fits, read = _JSON_KINDS[kind]
+    if fits(value):
+        with contextlib.suppress(ValueError):  # not an ISO time or date
+            return read(value)
+    raise SynthConfigError(f"config key {name!r} must be {description}, got {value!r}")
+
+
 def _scheduled_interaction(i: int, ev: object) -> ScheduledInteraction:
     if not isinstance(ev, Mapping):
         raise SynthConfigError(f"schedule[{i}] must be a JSON object")
     try:
         return ScheduledInteraction(
-            identity=int(ev["identity"]),
-            day=int(ev["day"]),
-            start=time.fromisoformat(ev["start"]),
-            end=time.fromisoformat(ev["end"]),
+            identity=_typed(f"schedule[{i}].identity", ev["identity"], int),
+            day=_typed(f"schedule[{i}].day", ev["day"], int),
+            start=_typed(f"schedule[{i}].start", ev["start"], time),
+            end=_typed(f"schedule[{i}].end", ev["end"], time),
         )
     except KeyError as exc:
         raise SynthConfigError(f"schedule[{i}] lacks key {exc}") from None
 
 
+# The kind of every top-level key but the schedule and the frame interval; an
+# absent key takes SynthConfig's default.
+_CONFIG_KINDS = {
+    "seed": int,
+    "n_days": int,
+    "n_identities": int,
+    "identity_center_spread": float,
+    "within_person_noise": float,
+    "dropout_rate": float,
+    "coverage_start": time,
+    "coverage_end": time,
+    "wearer_id": str,
+    "base_day": date,
+}
+
+
 def config_from_dict(record: Mapping) -> SynthConfig:
     if not isinstance(record, Mapping):
         raise SynthConfigError("synth config must hold a JSON object")
-    schedule = tuple(
-        _scheduled_interaction(i, ev) for i, ev in enumerate(record.get("schedule", ()))
-    )
-    interval = record.get("frame_interval_seconds", (20.0, 30.0))
+    values = {
+        key: _typed(key, record[key], kind) for key, kind in _CONFIG_KINDS.items() if key in record
+    }
+    if "frame_interval_seconds" in record:
+        interval = record["frame_interval_seconds"]
+        if not (isinstance(interval, list) and len(interval) == 2):
+            raise SynthConfigError(
+                "config key 'frame_interval_seconds' must be a list of two numbers, "
+                f"got {interval!r}"
+            )
+        values["frame_interval_seconds"] = tuple(
+            _typed(f"frame_interval_seconds[{i}]", v, float) for i, v in enumerate(interval)
+        )
+    schedule = record.get("schedule", [])
+    if not isinstance(schedule, list):
+        raise SynthConfigError(f"config key 'schedule' must be a list, got {schedule!r}")
     return SynthConfig(
-        seed=int(record.get("seed", 0)),
-        n_days=int(record.get("n_days", 1)),
-        n_identities=int(record.get("n_identities", 1)),
-        identity_center_spread=float(record.get("identity_center_spread", 1.0)),
-        within_person_noise=float(record.get("within_person_noise", 0.02)),
-        frame_interval_seconds=(float(interval[0]), float(interval[1])),
-        schedule=schedule,
-        dropout_rate=float(record.get("dropout_rate", 0.0)),
-        coverage_start=time.fromisoformat(record.get("coverage_start", "09:00")),
-        coverage_end=time.fromisoformat(record.get("coverage_end", "21:00")),
-        wearer_id=str(record.get("wearer_id", "wearer-0")),
-        base_day=date.fromisoformat(record.get("base_day", "2024-03-04")),
+        **values, schedule=tuple(_scheduled_interaction(i, ev) for i, ev in enumerate(schedule))
     )
 
 

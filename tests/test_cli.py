@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -385,11 +387,31 @@ def _drop_key(record: dict, key: str) -> dict:
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda r: _drop_key(r, "minutes_per_person"), "lacks key 'minutes_per_person'"),
-        (lambda r: dict(r, days_analyzed="x"), "invalid literal for int()"),
-        (lambda r: list(r.values()), "list indices must be integers"),
+        (lambda r: _drop_key(r, "minutes_per_person"), " lacks key 'minutes_per_person'"),
+        (lambda r: dict(r, days_analyzed="x"), ": key 'days_analyzed' must be int, got 'x'"),
+        (lambda r: dict(r, days_analyzed=2.7), ": key 'days_analyzed' must be int, got 2.7"),
+        (lambda r: dict(r, persons_per_day="3"), ": key 'persons_per_day' must be float, got '3'"),
+        (
+            lambda r: dict(r, persons_per_day=True),
+            ": key 'persons_per_day' must be float, got True",
+        ),
+        (
+            lambda r: dict(r, no_interactions="false"),
+            ": key 'no_interactions' must be bool, got 'false'",
+        ),
+        (lambda r: dict(r, wearer_id=0), ": key 'wearer_id' must be str, got 0"),
+        (lambda r: list(r.values()), " must be a JSON object"),
     ],
-    ids=["missing-trait", "bad-value", "not-an-object"],
+    ids=[
+        "missing-trait",
+        "bad-value",
+        "float-days",
+        "string-trait",
+        "bool-trait",
+        "string-flag",
+        "int-wearer",
+        "not-an-object",
+    ],
 )
 def test_render_rejects_bad_traits_record(tmp_path, synth_dir, capsys, corrupt, message):
     obs = str(synth_dir / "observations.jsonl")
@@ -403,8 +425,7 @@ def test_render_rejects_bad_traits_record(tmp_path, synth_dir, capsys, corrupt, 
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
-    assert err.startswith(f"error: traits file {traits}: wearers[0]")
-    assert message in err
+    assert err == f"error: traits file {traits}: wearers[0]{message}\n"
 
 
 def test_config_file_overrides_flags(tmp_path, synth_dir, capsys):
@@ -720,8 +741,48 @@ def test_non_integer_interaction_field_rejected_with_line(
         ),
         ({"schedule": [3]}, "schedule[0] must be a JSON object"),
         ([{"seed": 1}], "synth config must hold a JSON object"),
+        (
+            {"frame_interval_seconds": 5},
+            "config key 'frame_interval_seconds' must be a list of two numbers, got 5",
+        ),
+        (
+            {"frame_interval_seconds": [20, "30"]},
+            "config key 'frame_interval_seconds[1]' must be a finite number, got '30'",
+        ),
+        (
+            {"n_identities": 2, "schedule": [
+                {"identity": 1, "day": 0, "start": 9, "end": "10:10"},
+            ]},
+            "config key 'schedule[0].start' must be an ISO time string, got 9",
+        ),
+        (
+            {"schedule": [{"identity": True, "day": 0, "start": "09:00", "end": "09:10"}]},
+            "config key 'schedule[0].identity' must be an integer, got True",
+        ),
+        ({"schedule": {}}, "config key 'schedule' must be a list, got {}"),
+        ({"seed": "x"}, "config key 'seed' must be an integer, got 'x'"),
+        ({"n_days": 2.5}, "config key 'n_days' must be an integer, got 2.5"),
+        ({"seed": True}, "config key 'seed' must be an integer, got True"),
+        ({"dropout_rate": False}, "config key 'dropout_rate' must be a finite number, got False"),
+        ({"wearer_id": 7}, "config key 'wearer_id' must be a string, got 7"),
+        ({"base_day": "March 4"}, "config key 'base_day' must be an ISO date string, got 'March 4'"),
     ],
-    ids=["missing-identity", "entry-not-an-object", "not-an-object"],
+    ids=[
+        "missing-identity",
+        "entry-not-an-object",
+        "not-an-object",
+        "interval-not-a-list",
+        "interval-entry-string",
+        "start-not-a-string",
+        "identity-bool",
+        "schedule-not-a-list",
+        "seed-string",
+        "days-float",
+        "seed-bool",
+        "rate-bool",
+        "wearer-int",
+        "bad-date",
+    ],
 )
 def test_bad_synth_config_rejected(tmp_path, capsys, doc, message):
     cfg = tmp_path / "synth.json"
@@ -744,6 +805,33 @@ def test_validate_reads_any_line_ending_alike(tmp_path, synth_dir, capsys, newli
     assert main(["validate", "--obs", str(copies["observations.jsonl"]),
                  "--coverage", str(copies["coverage.jsonl"])]) == 0
     assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize(
+    "case", ["config-dir", "obs-dir", "traits-dir", "out-is-a-file", "missing-obs"]
+)
+def test_unusable_paths_rejected(tmp_path, synth_dir, capsys, case):
+    """A directory, an existing file as --out, or a missing file: error and exit code 2."""
+    obs = str(synth_dir / "observations.jsonl")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv, flag, path, code = {
+        "config-dir": (
+            ["pipeline", "--obs", obs, "--out", str(tmp_path / "p")],
+            "--config",
+            tmp_path,
+            errno.EISDIR,
+        ),
+        "obs-dir": (["validate"], "--obs", tmp_path, errno.EISDIR),
+        "traits-dir": (["render", "--out", str(tmp_path / "r")], "--traits", tmp_path, errno.EISDIR),
+        "out-is-a-file": (["pipeline", "--obs", obs], "--out", taken, errno.EEXIST),
+        "missing-obs": (["validate"], "--obs", tmp_path / "absent.jsonl", errno.ENOENT),
+    }[case]
+    capsys.readouterr()
+    assert main([*argv, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}"
 
 
 def test_file_reading_commands_close_their_files(tmp_path, synth_dir, capsys):

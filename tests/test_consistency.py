@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import egosocial.consistency as consistency
-from conftest import dataset_from_matrix
+from conftest import dataset_from_matrix, pad128
+from egosocial.cli import _write_clustering
 from egosocial.clustering import clustering_from_clusters
 from egosocial.consistency import (
     STATUS_PRUNED,
@@ -240,6 +242,70 @@ def test_constant_descriptor_pruned_first(rng):
     assert verdict.status == STATUS_PRUNED
     assert 3 in verdict.removed_members
     assert 3 in filtered.discarded
+
+
+# Integer descriptors whose entries sum to zero: centering leaves them exact and
+# every Gram entry is an exact integer under any summation order, so the means
+# below do not depend on the BLAS build. Clusters, in order: robust, singleton,
+# pruned (two removals, the later observation first), rejected outright, and a
+# middle-band cluster rejected after pruning down to one member.
+_VERDICT_ROWS = [
+    (3, -1, -1, -1), (6, -2, -2, -2), (3, -1, -2, 0),
+    (1, 2, -3, 0),
+    (4, -1, -1, -1, -1), (1, 1, -1, 0, -1), (4, -2, -1, -1, 0),
+    (4, -1, -2, 0, -1), (5, -1, -1, -1, -2), (0, -1, 0, 2, -1),
+    (1, -1, 0, 0), (-1, 1, 0, 0), (0, 1, -1, 0),
+    (1, -1, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1),
+]
+_VERDICT_CLUSTERS = [[0, 1, 2], [3], [4, 5, 6, 7, 8, 9], [10, 11, 12], [13, 14, 15]]
+
+
+def _verdict(cluster_id, size, mean, final, status, removed, surviving):
+    return {
+        "cluster_id": cluster_id,
+        "final_mean_pairwise_r": final,
+        "mean_pairwise_r": mean,
+        "removed_members": removed,
+        "size": size,
+        "status": status,
+        "surviving_cluster_id": surviving,
+    }
+
+
+# The consistency.json those clusters must produce, byte for byte.
+_RECORDED_CONSISTENCY = {
+    "provenance": {"fingerprint": "f", "params": {}},
+    "wearers": {
+        "u1": {
+            "clusters": [
+                _verdict(0, 3, 0.9505467331817009, 0.9505467331817009, "robust", [], 0),
+                _verdict(1, 1, None, None, "singleton", [], 1),
+                _verdict(2, 6, 0.535624662202756, 0.9418308069872524, "pruned", [9, 5], 2),
+                _verdict(
+                    3, 3, -0.3333333333333333, -0.3333333333333333, "rejected", [10, 11, 12], None
+                ),
+                _verdict(4, 3, 0.5, None, "rejected", [13, 14, 15], None),
+            ],
+            "status_counts": {"pruned": 1, "rejected": 2, "robust": 1, "singleton": 1},
+            "thresholds": {"member_min": 0.7, "reject_mean": 0.4, "robust_mean": 0.8},
+        }
+    },
+}
+
+
+def test_consistency_report_written_form_is_pinned(tmp_path):
+    assert all(sum(row) == 0 for row in _VERDICT_ROWS)
+    dataset = dataset_from_matrix(pad128(*_VERDICT_ROWS))
+    n = len(_VERDICT_ROWS)
+    clustering = clustering_from_clusters(_VERDICT_CLUSTERS, n, "ahc", {"method": "ahc"})
+    filtered, report = apply_consistency(clustering, dataset)
+    assert filtered.clusters == ((0, 1, 2), (3,), (4, 6, 7, 8))
+    assert filtered.discarded == (5, 9, 10, 11, 12, 13, 14, 15)
+
+    prov = {"fingerprint": "f", "params": {}}
+    _write_clustering(tmp_path, {"u1": (dataset, filtered)}, {"u1": report}, prov)
+    text = (tmp_path / "consistency.json").read_text()
+    assert text == json.dumps(_RECORDED_CONSISTENCY, indent=2, sort_keys=True) + "\n"
 
 
 def test_idempotence(rng):

@@ -302,6 +302,19 @@ def test_duplicate_coverage_entry_rejected():
         parse_coverage(entry + "\n" + entry)
 
 
+@pytest.mark.parametrize("count", [-1, 2.0, True, "3"])
+def test_non_integer_image_count_rejected(count):
+    entry = {
+        "wearer_id": "u1",
+        "day": "2024-03-04",
+        "start": "2024-03-04T08:00:00+00:00",
+        "end": "2024-03-04T20:00:00+00:00",
+    }
+    with pytest.raises(IngestError) as info:
+        parse_coverage(json.dumps(entry) + "\n" + json.dumps(dict(entry, image_count=count)))
+    assert str(info.value) == f"line 2: image_count must be a non-negative integer, got {count!r}"
+
+
 def _observation(wearer: str, day: date, hour: int, image_id: str) -> FaceObservation:
     return FaceObservation(
         wearer_id=wearer,

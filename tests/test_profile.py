@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import DAY, at
+from egosocial import cli
 from egosocial.ingest import DayCoverage
 from egosocial.profile import (
     MissingCoverageError,
@@ -193,6 +194,8 @@ def test_empty_cohort_rejected():
         build_profiles([], provenance="x")
 
 
-def test_traits_round_trip_dict():
+def test_traits_round_trip_dict(tmp_path):
     t = _traits("u1", 9, 12, 12, 12, 503)
-    assert SocialTraits.from_dict(t.to_dict()) == t
+    path = tmp_path / "traits.json"
+    cli._write_json(path, {"provenance": {"fingerprint": "f"}, "wearers": [t]})
+    assert cli._read_traits(path) == ([t], "f")
