@@ -316,7 +316,8 @@ def _write_eval(out: Path, results: dict[str, MethodEvaluation], prov: dict) -> 
 
 def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
     """The records and provenance fingerprint of a traits report; names a missing key
-    or a value whose JSON type does not fit its field."""
+    or a value whose JSON type does not fit its field. A report without a
+    provenance, or a provenance without a fingerprint, is "unspecified"."""
     doc = json.loads(_read_document(path))
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
@@ -333,7 +334,11 @@ def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
             elif field.default is MISSING:
                 raise ValueError(f"{where} lacks key {field.name!r}")
         traits.append(SocialTraits(**{name: record[name] for name in hints if name in record}))
-    return traits, doc.get("provenance", {}).get("fingerprint", "unspecified")
+    provenance = doc.get("provenance", {})
+    _check_value(f"traits file {path}: key 'provenance'", dict, provenance)
+    fingerprint = provenance.get("fingerprint", "unspecified")
+    _check_value(f"traits file {path}: key 'provenance.fingerprint'", str, fingerprint)
+    return traits, fingerprint
 
 
 # ---------------------------------------------------------------------------

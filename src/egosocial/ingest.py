@@ -18,6 +18,21 @@ lines starting with ``#`` are skipped but still counted. A file opened with
 ``errors="surrogateescape"`` lets a reader name the line of a byte that is
 not valid in the file's encoding.
 
+An observation file of 4 MiB or more is parsed on every usable CPU when it
+is a regular file opened in text mode at its start, with
+``errors="surrogateescape"`` as the CLI opens it, in UTF-8, ASCII or
+Latin-1 (so that a ``\n`` byte always ends a line), and when the process
+can fork, may run on more than one CPU (``os.sched_getaffinity``) and runs
+no other Python thread. The file is cut into byte ranges, one per usable
+CPU but at most one per 2 MiB, each ending just after a ``\n``. A forked
+process parses each range but the first, which the reading process parses
+itself, and sends its records back in frames; the parts are merged in file
+order. The records, their order, and the message and line number of the
+first faulty line are those of the serial reader, and the reading process
+holds the parsed records plus one block of its own part's text or one frame
+of another part's records. Every other input is read serially: a string,
+an iterable of lines, a pipe, a smaller file, a run on one CPU.
+
 Parsing is strict: malformed lines, wrong descriptor lengths, non-finite
 values, duplicate (image_id, face_index) keys, and timestamp/day
 mismatches are rejecting errors that name the offending line. Nothing is
@@ -27,13 +42,21 @@ is a clustering-stage option so the raw inputs stay inspectable.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import math
+import os
+import pickle
 import re
+import signal
+import stat
+import threading
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,10 +73,11 @@ class IngestError(ValueError):
     """Rejecting parse or validation error, with the source line when known."""
 
     def __init__(self, message: str, line_no: int | None = None):
+        self.reason = message
+        self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-        self.line_no = line_no
 
 
 class UnknownWearerError(ValueError):
@@ -231,7 +255,7 @@ def _parse_day(raw: object, line_no: int | None) -> date:
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def _iter_lines(source: LineSource) -> Iterator[tuple[int, str]]:
+def _iter_lines(source: LineSource) -> Generator[tuple[int, str], None, int]:
     """Yield (1-based line number, stripped line), skipping blanks and '#' comments.
 
     ``source`` is the whole text, or an iterable of lines such as an open
@@ -240,7 +264,8 @@ def _iter_lines(source: LineSource) -> Iterator[tuple[int, str]]:
     exactly as the lines of its whole text: a text file ends its lines only
     at ``\n`` (``\r`` and ``\r\n`` are translated), and the other
     separators fall inside them. A byte that the file's decoder escaped with
-    ``surrogateescape`` is rejected with its line.
+    ``surrogateescape`` is rejected with its line. Returns the number of
+    lines, blank and comment lines included.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8", "surrogateescape")
@@ -262,6 +287,7 @@ def _iter_lines(source: LineSource) -> Iterator[tuple[int, str]]:
             if not stripped or stripped.startswith("#"):
                 continue
             yield no, stripped
+    return no
 
 
 def _record(line: str, line_no: int) -> dict:
@@ -271,6 +297,8 @@ def _record(line: str, line_no: int) -> dict:
         raise IngestError(f"malformed record: {exc.msg}", line_no) from None
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise IngestError(f"malformed record: {exc}", line_no) from None
+    except RecursionError:
+        raise IngestError("malformed record: nested too deeply", line_no) from None
     if not isinstance(record, dict):
         raise IngestError("record is not an object", line_no)
     return record
@@ -333,11 +361,13 @@ def _parse_observation_line(line: str, line_no: int) -> FaceObservation:
         )
     descriptor = _parse_descriptor(raw_desc, line_no)
     face_index = _non_negative_int(record, "face_index", line_no)
+    day = _parse_day(record["day"], line_no)
+    timestamp = _parse_timestamp(record["timestamp"], line_no)
     try:
         return FaceObservation(
             wearer_id=str(record["wearer_id"]),
-            day=_parse_day(record["day"], line_no),
-            timestamp=_parse_timestamp(record["timestamp"], line_no),
+            day=day,
+            timestamp=timestamp,
             image_id=str(record["image_id"]),
             face_index=face_index,
             descriptor=_CheckedDescriptor(descriptor),
@@ -380,25 +410,279 @@ def _synthesize_coverage(
     return coverage
 
 
+# --- parsing an observation file in parts ---------------------------------------
+
+# Each part of a split file has at least this many bytes, so a file is split
+# only from twice this size on.
+_PART_MIN_BYTES = 2 << 20
+# Bytes read from a file at a time.
+_READ_BYTES = 1 << 16
+# Observations a parsing process sends per frame.
+_FRAME_RECORDS = 512
+# Codecs in which the byte b"\n" is always a line end and decoding starts
+# afresh after it, so that each part decodes on its own as the whole file does.
+_SPLITTABLE_CODECS = frozenset(("ascii", "utf-8", "iso8859-1"))
+
+# (line number, observation) per record of a part; returns the part's line count.
+_PartRecords = Generator[tuple[int, FaceObservation], None, int]
+
+
+def _observation_records(source: LineSource) -> _PartRecords:
+    """Each record of ``source`` parsed, numbered as :func:`_iter_lines` numbers it."""
+    lines = _iter_lines(source)
+    while True:
+        try:
+            line_no, line = next(lines)
+        except StopIteration as end:
+            return end.value
+        yield line_no, _parse_observation_line(line, line_no)
+
+
+def _merge_parts(parts: Iterable[_PartRecords]) -> list[FaceObservation]:
+    """The observations of consecutive parts of one input, in input order.
+
+    Each part numbers its own lines; its records and its fault are moved past
+    the lines of the parts before it, and a key seen before in any part is
+    rejected on the line that repeats it.
+    """
+    observations: list[FaceObservation] = []
+    seen: dict[ObservationKey, int] = {}
+    offset = 0
+    for records in parts:
+        while True:
+            try:
+                line_no, obs = next(records)
+            except StopIteration as end:
+                offset += end.value
+                break
+            except IngestError as exc:
+                raise IngestError(exc.reason, offset + exc.line_no) from None
+            line_no += offset
+            if obs.key in seen:
+                raise IngestError(
+                    f"duplicate (image_id, face_index) = ({obs.image_id!r}, {obs.face_index}) "
+                    f"for wearer {obs.wearer_id!r}, first seen on line {seen[obs.key]}",
+                    line_no,
+                )
+            seen[obs.key] = line_no
+            observations.append(obs)
+    return observations
+
+
+def _part_ranges(source: LineSource) -> list[tuple[int, int]]:
+    """The byte ranges to parse ``source`` in, one per process; [] to read it serially.
+
+    ``source`` is split when it is a regular file opened in text mode at its
+    start, with ``errors="surrogateescape"`` and a codec in
+    ``_SPLITTABLE_CODECS``, when it holds at least two parts of
+    ``_PART_MIN_BYTES``, and when this process can fork, may run on more than
+    one CPU and runs no other Python thread. There is one range per usable
+    CPU, but at most one per ``_PART_MIN_BYTES`` of the file, and each range
+    but the last ends just after a b"\n".
+    """
+    if not (
+        isinstance(source, io.TextIOWrapper)
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and threading.active_count() == 1
+    ):
+        return []
+    try:
+        if not (
+            source.readable()
+            and source.errors == "surrogateescape"
+            and codecs.lookup(source.encoding).name in _SPLITTABLE_CODECS
+            and source.tell() == 0
+        ):
+            return []
+        fd = source.fileno()
+        info = os.fstat(fd)
+    except (OSError, ValueError):  # a closed file, or one without a descriptor or a position
+        return []
+    size = info.st_size
+    n_parts = min(len(os.sched_getaffinity(0)), size // _PART_MIN_BYTES)
+    if not stat.S_ISREG(info.st_mode) or n_parts < 2:
+        return []
+    bounds = [0]
+    for i in range(1, n_parts):
+        cut = _line_end(fd, size * i // n_parts)
+        if cut is None or cut >= size:
+            break
+        if cut > bounds[-1]:  # a line longer than a part spans several targets
+            bounds.append(cut)
+    bounds.append(size)
+    return list(zip(bounds, bounds[1:])) if len(bounds) > 2 else []
+
+
+def _line_end(fd: int, pos: int) -> int | None:
+    """The offset just past the first b"\n" at or after ``pos`` in the file; None if none."""
+    while block := os.pread(fd, _READ_BYTES, pos):
+        found = block.find(b"\n")
+        if found >= 0:
+            return pos + found + 1
+        pos += len(block)
+    return None
+
+
+def _part_text(fd: int, start: int, end: int, encoding: str) -> Iterator[str]:
+    """The text of bytes [start, end) of the file, a block of whole lines at a time.
+
+    Each block but the last ends just after a b"\n", so :func:`_iter_lines`
+    numbers its lines as those of the whole text. ``os.pread`` leaves the file
+    position, which forked processes share, alone.
+    """
+    pending = b""
+    while start < end:
+        block = os.pread(fd, min(_READ_BYTES, end - start), start)
+        if not block:  # the file got shorter
+            break
+        start += len(block)
+        pending += block
+        cut = pending.rfind(b"\n") + 1
+        if cut:
+            yield pending[:cut].decode(encoding, "surrogateescape")
+            pending = pending[cut:]
+    if pending:
+        yield pending.decode(encoding, "surrogateescape")
+
+
+def _send_part(stream: IO[bytes], lines: Iterable[str]) -> None:
+    """Parse ``lines`` and write them to ``stream`` as pickled frames.
+
+    A frame is (fields, descriptors, tail): up to ``_FRAME_RECORDS`` tuples of
+    (line number, wearer_id, day, timestamp, image_id, face_index), their
+    descriptors as one float64 block, and in the last frame only, the part's
+    line count and the :class:`IngestError` that ended it, or None. The whole
+    part is parsed before the first write, so that the parsing never waits on
+    the pipe while the parent parses its own part.
+    """
+    fields, rows = [], []
+    records = _observation_records(lines)
+    while True:
+        try:
+            line_no, obs = next(records)
+        except StopIteration as end:
+            tail = (end.value, None)
+            break
+        except IngestError as exc:
+            tail = (0, exc)
+            break
+        fields.append(
+            (line_no, obs.wearer_id, obs.day, obs.timestamp, obs.image_id, obs.face_index)
+        )
+        rows.append(obs.descriptor)
+    for at in range(0, max(len(fields), 1), _FRAME_RECORDS):
+        stop = at + _FRAME_RECORDS
+        block = np.array(rows[at:stop], dtype=np.float64).reshape(-1, DESCRIPTOR_DIM)
+        frame = (fields[at:stop], block, tail if stop >= len(fields) else None)
+        pickle.dump(frame, stream, pickle.HIGHEST_PROTOCOL)
+
+
+class _PartProcess:
+    """A forked process that parses bytes [start, end) of a file and sends the part back."""
+
+    def __init__(self, fd: int, start: int, end: int, encoding: str):
+        self.start, self.end = start, end
+        self.exit_code: int | None = None
+        read_end, write_end = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a process with threads (BLAS workers,
+                # say) forks; the child only parses and writes to its pipe.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        except BaseException:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "wb") as stream:
+                    _send_part(stream, _part_text(fd, start, end, encoding))
+                status = 0
+            finally:
+                # Leave without running the parent's exit handlers or flushing
+                # its buffered output a second time.
+                os._exit(status)
+        os.close(write_end)
+        self.stream = open(read_end, "rb")
+
+    def records(self) -> _PartRecords:
+        """The part's records as the child parsed them, then its line count or its fault."""
+        while True:
+            try:
+                fields, block, tail = pickle.load(self.stream)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    f"the process parsing bytes {self.start}-{self.end} of the observation "
+                    f"file exited with code {self.reap()} before sending them"
+                ) from None
+            for (line_no, *values), row in zip(fields, block):
+                yield line_no, FaceObservation(*values, _CheckedDescriptor(row))
+            if tail is not None:
+                n_lines, fault = tail
+                if fault is not None:
+                    raise fault
+                return n_lines
+
+    def reap(self, kill: bool = False) -> int:
+        """Close the pipe and wait for the child, killed first if asked; its exit code."""
+        if self.exit_code is None:
+            self.stream.close()
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            self.exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.exit_code
+
+
+def _parse_parts(source: IO[str], ranges: list[tuple[int, int]]) -> list[FaceObservation]:
+    """Parse each byte range in a forked process, the first in this one, merged in file order.
+
+    A range whose process cannot be started is parsed here when its turn comes.
+    Every child is reaped before this returns or raises; one still parsing
+    when this process raises is killed.
+    """
+    fd, encoding = source.fileno(), source.encoding
+    children: list[_PartProcess | None] = [None]
+    try:
+        for start, end in ranges[1:]:
+            try:
+                children.append(_PartProcess(fd, start, end, encoding))
+            except OSError:  # no process to spare
+                children.append(None)
+        parts = (
+            child.records() if child else _observation_records(_part_text(fd, *span, encoding))
+            for span, child in zip(ranges, children)
+        )
+        observations = _merge_parts(parts)
+    finally:
+        for child in children:
+            if child:
+                child.reap(kill=True)
+    return observations
+
+
 def parse_observations(source: LineSource) -> Dataset:
     """Parse observation lines, a string or an open text file, into a validated Dataset.
+
+    A large regular file is parsed in parts on every usable CPU, as
+    :func:`_part_ranges` decides and the module docstring describes; any other
+    source is read one line at a time in this process. Both give the same
+    records, in the same order, and the same reject message and line number
+    for the first faulty line, and both hold the parsed records plus one line,
+    or one frame of a forked parser's records, at a time.
 
     Coverage is synthesized as [first, last] observation timestamp for
     every (wearer, day), flagged ``synthesized``. Use :func:`load_dataset`
     to attach an explicit coverage manifest.
     """
-    observations: list[FaceObservation] = []
-    seen: dict[ObservationKey, int] = {}
-    for line_no, line in _iter_lines(source):
-        obs = _parse_observation_line(line, line_no)
-        if obs.key in seen:
-            raise IngestError(
-                f"duplicate (image_id, face_index) = ({obs.image_id!r}, {obs.face_index}) "
-                f"for wearer {obs.wearer_id!r}, first seen on line {seen[obs.key]}",
-                line_no,
-            )
-        seen[obs.key] = line_no
-        observations.append(obs)
+    ranges = _part_ranges(source)
+    if ranges:
+        observations = _parse_parts(source, ranges)
+    else:
+        observations = _merge_parts([_observation_records(source)])
     observations.sort(key=_sort_key)
     return Dataset(tuple(observations), _synthesize_coverage(observations))
 
@@ -417,12 +701,15 @@ def parse_coverage(source: LineSource) -> tuple[DayCoverage, ...]:
         image_count = 0
         if "image_count" in record:
             image_count = _non_negative_int(record, "image_count", line_no)
+        day = _parse_day(record["day"], line_no)
+        start = _parse_timestamp(record["start"], line_no)
+        end = _parse_timestamp(record["end"], line_no)
         try:
             entry = DayCoverage(
                 wearer_id=str(record["wearer_id"]),
-                day=_parse_day(record["day"], line_no),
-                start=_parse_timestamp(record["start"], line_no),
-                end=_parse_timestamp(record["end"], line_no),
+                day=day,
+                start=start,
+                end=end,
                 image_count=image_count,
             )
         except ValueError as exc:

@@ -7,9 +7,10 @@ cannot hide in both paths at once.
 
 from __future__ import annotations
 
+import json
 import math
 import re
-from datetime import timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 from mpmath import mp, mpf
@@ -261,6 +262,108 @@ def naive_descriptor(raw: list) -> np.ndarray | str:
             return f"non-finite or non-numeric descriptor entry {v!r}"
         values.append(float(v))
     return np.array(values)
+
+
+def _reject_record(line: str) -> dict | str:
+    """The JSON object on a line, or the message that rejects it."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"malformed record: {exc.msg}"
+    except ValueError as exc:
+        return f"malformed record: {exc}"
+    if not isinstance(record, dict):
+        return "record is not an object"
+    return record
+
+
+def _naive_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _naive_day(raw) -> date | str:
+    if not isinstance(raw, str):
+        return f"day must be a YYYY-MM-DD string, got {raw!r}"
+    try:
+        return date.fromisoformat(raw)
+    except ValueError:
+        return f"unparseable day {raw!r}"
+
+
+def _naive_instant(raw) -> datetime | str:
+    if not isinstance(raw, str):
+        return f"timestamp must be an RFC 3339 string, got {raw!r}"
+    text = raw[:-1] + "+00:00" if raw[-1:] in ("Z", "z") else raw
+    try:
+        stamp = datetime.fromisoformat(text)
+    except ValueError:
+        return f"unparseable timestamp {raw!r}"
+    if stamp.tzinfo is None:
+        return f"timestamp {raw!r} lacks an explicit UTC offset"
+    return stamp
+
+
+def _content_lines(lines: list[str]):
+    """(line number, line) for every line that is neither blank nor a '#' comment."""
+    for no, line in enumerate(lines, start=1):
+        if line.strip() and not line.strip().startswith("#"):
+            yield no, line.strip()
+
+
+def naive_coverage_fault(lines: list[str]) -> tuple[int, str] | None:
+    """The line number and message of the first faulty coverage line, checking each
+    line's rules in the order the manifest format lists them; None if all are valid."""
+    seen = set()
+    for no, line in _content_lines(lines):
+        record = _reject_record(line)
+        if isinstance(record, str):
+            return no, record
+        missing = [k for k in ("wearer_id", "day", "start", "end") if k not in record]
+        if missing:
+            return no, f"missing fields {missing}"
+        count = record.get("image_count", 0)
+        if not _naive_count(count):
+            return no, f"image_count must be a non-negative integer, got {count!r}"
+        checked = [_naive_day(record["day"]), _naive_instant(record["start"])]
+        checked.append(_naive_instant(record["end"]))
+        for value in checked:
+            if isinstance(value, str):
+                return no, value
+        day, start, end = checked
+        if not start < end:
+            return no, "coverage start must precede end"
+        if start.date() != day or end.date() != day:
+            return no, "coverage span must lie within its day"
+        key = (str(record["wearer_id"]), day)
+        if key in seen:
+            return no, f"duplicate coverage entry for {key}"
+        seen.add(key)
+    return None
+
+
+def naive_truth_fault(lines: list[str]) -> tuple[int, str] | None:
+    """The line number and message of the first faulty ground-truth line; None if
+    all are valid."""
+    first_seen = {}
+    for no, line in _content_lines(lines):
+        record = _reject_record(line)
+        if isinstance(record, str):
+            return no, record
+        missing = [k for k in ("wearer_id", "image_id", "face_index", "label") if k not in record]
+        if missing:
+            return no, f"missing fields {missing}"
+        wearer, image, face = record["wearer_id"], record["image_id"], record["face_index"]
+        if not isinstance(wearer, str) or not isinstance(image, str):
+            return no, "wearer_id and image_id must be strings"
+        if not _naive_count(face):
+            return no, f"face_index must be a non-negative integer, got {face!r}"
+        if (wearer, image, face) in first_seen:
+            return no, (
+                f"duplicate (image_id, face_index) = ({image!r}, {face}) for wearer "
+                f"{wearer!r}, first seen on line {first_seen[wearer, image, face]}"
+            )
+        first_seen[wearer, image, face] = no
+    return None
 
 
 def naive_wearers(dataset) -> tuple[str, ...]:

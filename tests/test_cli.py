@@ -18,7 +18,7 @@ import pytest
 
 import egosocial
 from conftest import dataset_from_matrix
-from egosocial import cli, clustering
+from egosocial import cli, clustering, ingest
 from egosocial.cli import main
 from egosocial.ingest import serialize_observations
 from egosocial.synth import (
@@ -384,23 +384,53 @@ def _drop_key(record: dict, key: str) -> dict:
     return record
 
 
+def _first_record(corrupt):
+    """A corruption of a traits report that applies ``corrupt`` to its first record."""
+
+    def apply(doc: dict) -> dict:
+        doc["wearers"][0] = corrupt(doc["wearers"][0])
+        return doc
+
+    return apply
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda r: _drop_key(r, "minutes_per_person"), " lacks key 'minutes_per_person'"),
-        (lambda r: dict(r, days_analyzed="x"), ": key 'days_analyzed' must be int, got 'x'"),
-        (lambda r: dict(r, days_analyzed=2.7), ": key 'days_analyzed' must be int, got 2.7"),
-        (lambda r: dict(r, persons_per_day="3"), ": key 'persons_per_day' must be float, got '3'"),
         (
-            lambda r: dict(r, persons_per_day=True),
-            ": key 'persons_per_day' must be float, got True",
+            _first_record(lambda r: _drop_key(r, "minutes_per_person")),
+            "wearers[0] lacks key 'minutes_per_person'",
         ),
         (
-            lambda r: dict(r, no_interactions="false"),
-            ": key 'no_interactions' must be bool, got 'false'",
+            _first_record(lambda r: dict(r, days_analyzed="x")),
+            "wearers[0]: key 'days_analyzed' must be int, got 'x'",
         ),
-        (lambda r: dict(r, wearer_id=0), ": key 'wearer_id' must be str, got 0"),
-        (lambda r: list(r.values()), " must be a JSON object"),
+        (
+            _first_record(lambda r: dict(r, days_analyzed=2.7)),
+            "wearers[0]: key 'days_analyzed' must be int, got 2.7",
+        ),
+        (
+            _first_record(lambda r: dict(r, persons_per_day="3")),
+            "wearers[0]: key 'persons_per_day' must be float, got '3'",
+        ),
+        (
+            _first_record(lambda r: dict(r, persons_per_day=True)),
+            "wearers[0]: key 'persons_per_day' must be float, got True",
+        ),
+        (
+            _first_record(lambda r: dict(r, no_interactions="false")),
+            "wearers[0]: key 'no_interactions' must be bool, got 'false'",
+        ),
+        (
+            _first_record(lambda r: dict(r, wearer_id=0)),
+            "wearers[0]: key 'wearer_id' must be str, got 0",
+        ),
+        (_first_record(lambda r: list(r.values())), "wearers[0] must be a JSON object"),
+        (lambda d: dict(d, provenance=3), "key 'provenance' must be dict, got 3"),
+        (
+            lambda d: dict(d, provenance={"fingerprint": 5}),
+            "key 'provenance.fingerprint' must be str, got 5",
+        ),
     ],
     ids=[
         "missing-trait",
@@ -411,13 +441,14 @@ def _drop_key(record: dict, key: str) -> dict:
         "string-flag",
         "int-wearer",
         "not-an-object",
+        "int-provenance",
+        "int-fingerprint",
     ],
 )
 def test_render_rejects_bad_traits_record(tmp_path, synth_dir, capsys, corrupt, message):
     obs = str(synth_dir / "observations.jsonl")
     assert main(["pipeline", "--obs", obs, "--out", str(tmp_path / "pipe")]) == 0
-    doc = json.loads((tmp_path / "pipe" / "traits.json").read_text())
-    doc["wearers"][0] = corrupt(doc["wearers"][0])
+    doc = corrupt(json.loads((tmp_path / "pipe" / "traits.json").read_text()))
     traits = tmp_path / "traits.json"
     traits.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -425,7 +456,24 @@ def test_render_rejects_bad_traits_record(tmp_path, synth_dir, capsys, corrupt, 
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
-    assert err == f"error: traits file {traits}: wearers[0]{message}\n"
+    assert err == f"error: traits file {traits}: {message}\n"
+
+
+@pytest.mark.parametrize("provenance", [None, {}], ids=["no-provenance", "no-fingerprint"])
+def test_render_reads_a_report_without_a_fingerprint_as_unspecified(
+    tmp_path, synth_dir, capsys, provenance
+):
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["pipeline", "--obs", obs, "--out", str(tmp_path / "pipe")]) == 0
+    doc = json.loads((tmp_path / "pipe" / "traits.json").read_text())
+    if provenance is None:
+        del doc["provenance"]
+    else:
+        doc["provenance"] = provenance
+    traits = tmp_path / "traits.json"
+    traits.write_text(json.dumps(doc))
+    assert main(["render", "--traits", str(traits), "--out", str(tmp_path / "charts")]) == 0
+    assert "unspecified" in (tmp_path / "charts" / "overlay.svg").read_text()
 
 
 def test_config_file_overrides_flags(tmp_path, synth_dir, capsys):
@@ -881,6 +929,56 @@ def test_loading_observations_peaks_below_the_file_size(tmp_path, rng):
         tracemalloc.stop()
     assert len(dataset) == 400
     assert peak < size, peak / size
+
+
+def test_loading_a_split_observation_file_peaks_below_the_file_size(tmp_path, rng, monkeypatch):
+    # Split in two parts, this process holds the parsed observations plus one
+    # block of its own part's text or one frame of the other part's records.
+    monkeypatch.setattr(ingest, "_PART_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    path = tmp_path / "obs.jsonl"
+    path.write_text(serialize_observations(dataset_from_matrix(rng.standard_normal((400, 128)))))
+    size = path.stat().st_size
+    with cli._open_lines(str(path)) as fh:
+        assert len(ingest._part_ranges(fh)) == 2
+    args = argparse.Namespace(obs=str(path), coverage=None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dataset = cli._load(args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 400
+    assert peak < size, peak / size
+
+
+def test_splitting_an_observation_file_prints_no_warning(tmp_path, rng):
+    # Python 3.12+ warns when a process with threads forks, and BLAS starts
+    # threads unless pinned; the warning must not reach the CLI's stderr.
+    path = tmp_path / "obs.jsonl"
+    path.write_text(serialize_observations(dataset_from_matrix(rng.standard_normal((50, 128)))))
+    code = (
+        "import os, sys\n"
+        "from egosocial import cli, ingest\n"
+        "ingest._PART_MIN_BYTES = 1\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "with cli._open_lines(sys.argv[1]) as fh:\n"
+        "    print('parts', len(ingest._part_ranges(fh)))\n"
+        "sys.exit(cli.main(['validate', '--obs', sys.argv[1]]))\n"
+    )
+    src = str(Path(egosocial.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    result = subprocess.run(
+        [sys.executable, "-W", "always", "-c", code, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "fork" not in result.stderr
+    assert result.stdout.startswith("parts 2\nwearer u1: 1 day(s), 50 observation(s)\n")
 
 
 def test_importing_the_cli_leaves_out_the_network_modules():

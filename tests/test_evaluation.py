@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import dataset_from_matrix
+from conftest import content_line_count, dataset_from_matrix, edit_lines, line_edits
 from egosocial.clustering import (
     AhcParams,
     MeanShiftParams,
@@ -20,7 +23,8 @@ from egosocial.evaluation import (
     render_eval_table,
     serialize_ground_truth,
 )
-from oracles import prf_pair_loop
+from egosocial.ingest import IngestError
+from oracles import naive_truth_fault, prf_pair_loop
 
 
 def _setup(rng, true_labels, pred_clusters, discarded=()):
@@ -241,3 +245,23 @@ def test_ground_truth_serialization_round_trip():
         }
     )
     assert parse_ground_truth(serialize_ground_truth(truth)) == truth
+
+
+_TRUTH_LINES = [
+    json.dumps({"wearer_id": "u1", "image_id": f"img-{i}", "face_index": 0, "label": f"p{i % 2}"})
+    for i in range(6)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=line_edits(("wearer_id", "image_id", "face_index", "label")))
+def test_truth_reader_rejects_as_the_line_by_line_oracle(edits):
+    lines = edit_lines(_TRUTH_LINES, edits)
+    expected = naive_truth_fault(lines)
+    if expected is None:
+        assert len(parse_ground_truth("\n".join(lines)).labels) == content_line_count(lines)
+        return
+    with pytest.raises(IngestError) as info:
+        parse_ground_truth("\n".join(lines))
+    line_no, message = expected
+    assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)

@@ -2,14 +2,24 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import time
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import DAY, at, dataset_from_matrix, observations_from_matrix
+from conftest import (
+    DAY,
+    at,
+    content_line_count,
+    dataset_from_matrix,
+    edit_lines,
+    line_edits,
+    observations_from_matrix,
+)
 from egosocial import ingest
 from egosocial.ingest import (
     Dataset,
@@ -24,7 +34,7 @@ from egosocial.ingest import (
     serialize_observations,
     slice_dataset,
 )
-from oracles import naive_descriptor, naive_slice, naive_wearers
+from oracles import naive_coverage_fault, naive_descriptor, naive_slice, naive_wearers
 
 
 def obs_line(
@@ -156,6 +166,27 @@ def test_malformed_json_names_line():
     text = obs_line() + "\n{not json"
     with pytest.raises(IngestError, match="line 2"):
         parse_observations(text)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"day": "2024-03-32"}, "unparseable day '2024-03-32'"),
+        ({"day": 4}, "day must be a YYYY-MM-DD string, got 4"),
+        ({"timestamp": "09:00"}, "unparseable timestamp '09:00'"),
+        ({"timestamp": None}, "timestamp must be an RFC 3339 string, got None"),
+    ],
+)
+def test_bad_day_or_timestamp_names_its_line_once(fields, message):
+    with pytest.raises(IngestError) as info:
+        parse_observations(obs_line() + "\n" + obs_line(image_id="b", **fields))
+    assert (str(info.value), info.value.line_no) == (f"line 2: {message}", 2)
+
+
+def test_deeply_nested_line_rejected_with_its_line():
+    with pytest.raises(IngestError) as info:
+        parse_observations(obs_line() + "\n" + "[" * 100_000)
+    assert (str(info.value), info.value.line_no) == ("line 2: malformed record: nested too deeply", 2)
 
 
 def test_zulu_suffix_accepted():
@@ -313,6 +344,35 @@ def test_non_integer_image_count_rejected(count):
     with pytest.raises(IngestError) as info:
         parse_coverage(json.dumps(entry) + "\n" + json.dumps(dict(entry, image_count=count)))
     assert str(info.value) == f"line 2: image_count must be a non-negative integer, got {count!r}"
+
+
+_COVERAGE_LINES = [
+    json.dumps(
+        {
+            "wearer_id": wearer,
+            "day": day,
+            "start": f"{day}T08:00:00+00:00",
+            "end": f"{day}T20:00:00+00:00",
+            "image_count": 10,
+        }
+    )
+    for wearer in ("u1", "u2")
+    for day in ("2024-03-04", "2024-03-05")
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=line_edits(("wearer_id", "day", "start", "end", "image_count")))
+def test_coverage_reader_rejects_as_the_line_by_line_oracle(edits):
+    lines = edit_lines(_COVERAGE_LINES, edits)
+    expected = naive_coverage_fault(lines)
+    if expected is None:
+        assert len(parse_coverage("\n".join(lines))) == content_line_count(lines)
+        return
+    with pytest.raises(IngestError) as info:
+        parse_coverage("\n".join(lines))
+    line_no, message = expected
+    assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
 
 
 def _observation(wearer: str, day: date, hour: int, image_id: str) -> FaceObservation:
@@ -482,3 +542,262 @@ def test_constructed_observation_still_checks_finiteness(bad):
             face_index=0,
             descriptor=descriptor,
         )
+
+
+# --- a file parsed in parts ----------------------------------------------------
+
+
+def _split_files(monkeypatch, cpus: int) -> None:
+    """Split every file parse_observations may split into ``cpus`` parts, however small."""
+    monkeypatch.setattr(ingest, "_PART_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _numbered_obs(i: int, **fields) -> bytes:
+    return obs_line(image_id=f"img-{i:03d}", descriptor=[float(i)] * 128, **fields).encode()
+
+
+def _outcome(parse):
+    """The dataset ``parse`` returns, or the message and line of the IngestError it raises."""
+    try:
+        return parse()
+    except IngestError as exc:
+        return str(exc), exc.line_no
+
+
+def _split_and_serial(path) -> tuple[list, object, object]:
+    """The byte ranges the file is split into, its outcome split, and its outcome read serially."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        ranges = ingest._part_ranges(fh)
+        split = _outcome(lambda: parse_observations(fh))
+    serial = _outcome(lambda: parse_observations(_text_file(path.read_bytes())))
+    return ranges, split, serial
+
+
+def _long_comment(size: int) -> bytes:
+    return b"# " + b"x" * size
+
+
+_SPLIT_CASES = {
+    # name: (lines, separator, final separator, cpus)
+    "crlf": ([_numbered_obs(i) for i in range(6)] + [b'{"wearer_id": 1}'], b"\r\n", True, 2),
+    # No b"\n" to split at: one part, read serially.
+    "cr-only": ([_numbered_obs(i) for i in range(6)] + [b"[1]"], b"\r", True, 3),
+    "cr-only-but-one-crlf": (
+        [_numbered_obs(0), _numbered_obs(1), _numbered_obs(2) + b"\r\n" + _numbered_obs(3), b"[1]"],
+        b"\r", True, 2,
+    ),
+    "vt-and-fs-inside-lines": (
+        [_numbered_obs(0), b"# a\vb", _numbered_obs(1), b"#c\x1c#d", _numbered_obs(2),
+         _numbered_obs(3).replace(b'"day"', b'\x1c"day"')],
+        b"\n", True, 2,
+    ),
+    "comment-ends-a-part": (
+        [_numbered_obs(0), _long_comment(4000), _numbered_obs(1), _numbered_obs(2, day="x")],
+        b"\n", True, 2,
+    ),
+    "blank-line-starts-a-part": (
+        [_numbered_obs(0), _long_comment(3000), b"", b"  ", _numbered_obs(1), b"{"],
+        b"\n", True, 2,
+    ),
+    "no-final-newline": ([_numbered_obs(i) for i in range(7)], b"\n", False, 3),
+    "no-final-newline-fault": ([_numbered_obs(i) for i in range(5)] + [b"{"], b"\n", False, 2),
+    "line-longer-than-a-part": (
+        [_numbered_obs(0), _numbered_obs(1, wearer="w" * 20000), _numbered_obs(2),
+         _numbered_obs(3), _numbered_obs(4), _numbered_obs(0)],
+        b"\n", True, 4,
+    ),
+    "duplicate-key-across-parts": (
+        [_numbered_obs(i) for i in range(6)] + [_numbered_obs(1, timestamp="2024-03-04T10:00:00Z")],
+        b"\n", True, 3,
+    ),
+    "undecodable-byte-behind-an-earlier-fault": (
+        [_numbered_obs(0), _numbered_obs(1)[:-9], _numbered_obs(2), _numbered_obs(3),
+         _numbered_obs(4), b"\xff" + _numbered_obs(5)],
+        b"\n", True, 2,
+    ),
+    "deeply-nested-line-in-a-later-part": (
+        [_numbered_obs(0), _long_comment(120_000), b"[" * 100_000, _numbered_obs(1)],
+        b"\n", True, 2,
+    ),
+    "undecodable-byte-in-a-later-part": (
+        [_numbered_obs(i) for i in range(6)] + [_numbered_obs(6).replace(b"img", b"\xe9mg")],
+        b"\n", True, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_split_file_parses_as_the_serial_reader(tmp_path, monkeypatch, case):
+    lines, sep, final, cpus = _SPLIT_CASES[case]
+    _split_files(monkeypatch, cpus)
+    path = tmp_path / "obs.jsonl"
+    path.write_bytes(sep.join(lines) + (sep if final else b""))
+    ranges, split, serial = _split_and_serial(path)
+    if case == "cr-only":
+        assert ranges == []
+    else:
+        assert 2 <= len(ranges) <= cpus
+    assert split == serial
+
+
+def _insert(line: bytes, col: int, piece: bytes) -> bytes:
+    col %= len(line) + 1
+    return line[:col] + piece + line[col:]
+
+
+_CORRUPTIONS_OF_A_LINE = {
+    "truncate": lambda line, col: line[: col % (len(line) + 1)],
+    "descriptor": lambda line, col: line.replace(b"[", b'["x", ', 1),
+    "day": lambda line, col: line.replace(b'"2024-03-04"', b'"2024-03-05"'),
+    "byte": lambda line, col: _insert(line, col, b"\xff"),
+    "vt": lambda line, col: _insert(line, col, b"\v"),
+    "fs": lambda line, col: _insert(line, col, b"\x1c"),
+    "long": lambda line, col: line.replace(b'"u1"', b'"' + b"u" * 6000 + b'"'),
+}
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n=st.integers(2, 10),
+    seps=st.lists(
+        st.sampled_from((b"\n", b"\r\n", b"\r", b"\n\n", b"\n# c\n", b"\r\n \r\n", b"\v\n")),
+        min_size=10,
+        max_size=10,
+    ),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 9),
+            st.sampled_from([*_CORRUPTIONS_OF_A_LINE, "duplicate"]),
+            st.integers(0, 10**4),
+        ),
+        max_size=3,
+    ),
+    final=st.booleans(),
+    cpus=st.integers(2, 4),
+)
+def test_split_file_matches_the_serial_reader(tmp_path, monkeypatch, n, seps, edits, final, cpus):
+    _split_files(monkeypatch, cpus)
+    lines = [_numbered_obs(i) for i in range(n)]
+    for index, kind, col in edits:
+        index %= n
+        if kind == "duplicate":
+            lines[index] = lines[col % n]
+        else:
+            lines[index] = _CORRUPTIONS_OF_A_LINE[kind](lines[index], col)
+    text = b"".join(line + sep for line, sep in zip(lines, seps))
+    if not final:
+        text = text[: -len(seps[n - 1])]
+    path = tmp_path / "obs.jsonl"
+    path.write_bytes(text)
+    _, split, serial = _split_and_serial(path)
+    assert split == serial
+
+
+def test_a_part_without_a_process_is_parsed_by_the_reader(tmp_path, monkeypatch):
+    _split_files(monkeypatch, 3)
+    fork = os.fork
+    forks = []
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    path = tmp_path / "obs.jsonl"
+    path.write_bytes(b"\n".join([_numbered_obs(i) for i in range(8)] + [_numbered_obs(2)]))
+    ranges, split, serial = _split_and_serial(path)
+    assert len(ranges) == 3 and len(forks) == 1
+    assert split == serial
+    assert split[0].endswith("first seen on line 3")
+
+
+def _recording_forks(monkeypatch) -> list[int]:
+    """The pids of the processes os.fork starts from now on."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_parser_process_that_dies_unsent_raises_and_is_reaped(tmp_path, monkeypatch):
+    _split_files(monkeypatch, 2)
+    monkeypatch.setattr(ingest, "_send_part", lambda stream, lines: os._exit(1))
+    pids = _recording_forks(monkeypatch)
+    path = tmp_path / "obs.jsonl"
+    path.write_bytes(b"\n".join(_numbered_obs(i) for i in range(6)))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with pytest.raises(ChildProcessError, match=r"exited with code 1 before sending them$"):
+            parse_observations(fh)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_fault_in_the_first_part_kills_and_reaps_the_busy_parsers(tmp_path, monkeypatch):
+    _split_files(monkeypatch, 3)
+
+    def stuck(stream, lines):
+        time.sleep(60)
+
+    monkeypatch.setattr(ingest, "_send_part", stuck)
+    pids = _recording_forks(monkeypatch)
+    path = tmp_path / "obs.jsonl"
+    path.write_bytes(b"\n".join([b"{"] + [_numbered_obs(i) for i in range(8)]))
+    start = time.monotonic()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with pytest.raises(IngestError, match="^line 1: malformed record"):
+            parse_observations(fh)
+    assert time.monotonic() - start < 30
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize(
+    "open_file",
+    [
+        lambda path: open(path, encoding="utf-8"),  # a byte the codec rejects would not name its line
+        lambda path: open(path, encoding="utf-16", errors="surrogateescape"),
+        lambda path: open(path, encoding="utf-8-sig", errors="surrogateescape"),
+        lambda path: _read_one_line(open(path, encoding="utf-8", errors="surrogateescape")),
+    ],
+    ids=["strict-errors", "utf-16", "utf-8-sig", "not-at-its-start"],
+)
+def test_files_that_cannot_be_split_are_read_serially(tmp_path, monkeypatch, open_file):
+    _split_files(monkeypatch, 2)
+    path = tmp_path / "obs.jsonl"
+    path.write_bytes(b"\n".join(_numbered_obs(i) for i in range(6)))
+    with open_file(path) as fh:
+        assert ingest._part_ranges(fh) == []
+
+
+def _read_one_line(fh):
+    fh.readline()
+    return fh
+
+
+def test_single_cpu_and_small_files_are_read_serially(tmp_path, monkeypatch):
+    path = tmp_path / "obs.jsonl"
+    path.write_bytes(b"\n".join(_numbered_obs(i) for i in range(6)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    with open(path, errors="surrogateescape") as fh:
+        assert ingest._part_ranges(fh) == []  # under two parts of the minimum size
+    _split_files(monkeypatch, 1)
+    with open(path, errors="surrogateescape") as fh:
+        assert ingest._part_ranges(fh) == []
