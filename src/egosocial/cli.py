@@ -154,6 +154,8 @@ def _read_config_overrides(path: Path) -> dict:
         overrides = json.loads(_read_document(path))
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed config {path}: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        raise IngestError(f"malformed config {path}: nested too deeply") from None
     if not isinstance(overrides, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     hints = typing.get_type_hints(RunConfig)
@@ -318,7 +320,10 @@ def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
     """The records and provenance fingerprint of a traits report; names a missing key
     or a value whose JSON type does not fit its field. A report without a
     provenance, or a provenance without a fingerprint, is "unspecified"."""
-    doc = json.loads(_read_document(path))
+    try:
+        doc = json.loads(_read_document(path))
+    except RecursionError:
+        raise ValueError(f"malformed traits file {path}: nested too deeply") from None
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"traits file {path} lacks key 'wearers' (a list of records)")

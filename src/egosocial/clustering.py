@@ -273,6 +273,49 @@ def _one_minus_gram(U: np.ndarray) -> np.ndarray:
     return D
 
 
+def _normalize_rows(X: np.ndarray, names: list[str]) -> None:
+    """Scale each row of X to unit L2 length in place; a zero row raises."""
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        raise DegenerateVectorError(
+            f"cannot normalize zero-length descriptor: {names[int(bad[0])]}"
+        )
+    X /= norms[:, None]
+
+
+def _unit_rows(X: np.ndarray, metric: str, names: list[str]) -> np.ndarray:
+    """The unit rows whose Gram matrix is one minus the cosine or correlation distances.
+
+    These are the raw rows or, for correlation, the centred rows, each scaled
+    to unit length; a zero (cosine) or constant (correlation) row raises.
+    """
+    U = X - X.mean(axis=1, keepdims=True) if metric == "correlation" else X
+    norms = np.sqrt(np.einsum("ij,ij->i", U, U))
+    bad = np.flatnonzero(norms == 0.0)
+    if bad.size:
+        undefined = {
+            "cosine": "cosine distance undefined for zero descriptor",
+            "correlation": "correlation undefined for constant descriptor",
+        }[metric]
+        raise DegenerateVectorError(f"{undefined}: {names[int(bad[0])]}")
+    return U / norms[:, None]
+
+
+def _checked_rows(observations, metric: str, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The descriptors as the distances use them, and the rows whose products give them.
+
+    The first is an (n, d) float64 copy, normalized if asked; the second is
+    that copy (euclidean) or its unit rows (cosine, correlation). A row
+    the metric cannot use raises :class:`DegenerateVectorError`, naming the
+    row, or the observation and its image.
+    """
+    X, names = _descriptor_rows(observations)
+    if normalize:
+        _normalize_rows(X, names)  # X is this call's own copy
+    return X, (X if metric == "euclidean" else _unit_rows(X, metric, names))
+
+
 def compute_distances(
     observations,
     metric: str = "euclidean",
@@ -302,31 +345,11 @@ def compute_distances(
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    X, names = _descriptor_rows(observations)
-    n = X.shape[0]
-
-    if normalize:
-        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-        bad = np.flatnonzero(norms == 0.0)
-        if bad.size:
-            raise DegenerateVectorError(
-                f"cannot normalize zero-length descriptor: {names[int(bad[0])]}"
-            )
-        X /= norms[:, None]  # X is this call's own copy
-
+    X, U = _checked_rows(observations, metric, normalize)
     if metric == "euclidean":
         D = _euclidean_upper(X)
-    else:  # one minus the cosine of the raw or, for correlation, the centred rows
-        U = X - X.mean(axis=1, keepdims=True) if metric == "correlation" else X
-        norms = np.sqrt(np.einsum("ij,ij->i", U, U))
-        bad = np.flatnonzero(norms == 0.0)
-        if bad.size:
-            undefined = {
-                "cosine": "cosine distance undefined for zero descriptor",
-                "correlation": "correlation undefined for constant descriptor",
-            }[metric]
-            raise DegenerateVectorError(f"{undefined}: {names[int(bad[0])]}")
-        D = _one_minus_gram(U / norms[:, None])
+    else:
+        D = _one_minus_gram(U)
         _zero_identical_rows(D, X, 1e-12)
 
     _mirror_upper(D)
@@ -514,12 +537,147 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     return clustering_from_clusters(final, n, "ahc", params_used)
 
 
+# Rows per group in cluster_ahc: a group's distance matrix is at most
+# _BIN x _BIN (8 MiB), unless one cut-graph component alone is larger.
+_BIN = 1024
+
+
+def _compress(parent: np.ndarray) -> None:
+    """Point every node of a union-find forest straight at its root, in place."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return
+        parent[:] = grand
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the sets of a[k] and b[k] for every k in a compressed forest.
+
+    Each round hooks the larger root of every pair still apart under the
+    smaller one (any one, where a root is in several pairs), so a root is
+    always its set's smallest member, and every round leaves fewer roots.
+    """
+    while True:
+        a, b = parent[a], parent[b]
+        apart = a != b
+        if not apart.any():
+            return
+        a, b = a[apart], b[apart]
+        parent[np.maximum(a, b)] = np.minimum(a, b)
+        _compress(parent)
+
+
+def _cut_groups(A: np.ndarray, euclidean: bool, cut: float) -> list[np.ndarray]:
+    """Whole cut-graph components of the rows of A, packed into groups of rows.
+
+    A holds the checked descriptors (euclidean) or their unit rows (cosine,
+    correlation). An edge joins two rows wherever the Gram form of their
+    distance is within the cut plus a slack (see :func:`cluster_ahc`); the
+    Gram matrix is formed in row blocks of the upper triangle, and each
+    block's edges are folded into a union-find and dropped. Components,
+    ordered by smallest member, are packed in that order into groups of at
+    most ``_BIN`` rows; a larger component is a group of its own. Each
+    group's rows are ascending.
+    """
+    n, d = A.shape
+    eps = 8.0 * (n + d + 8) * 2.0**-53
+    t = cut * (1.0 + eps)
+    if euclidean:  # g_ij - h_j >= h_i - t^2 / 2
+        half = np.einsum("ij,ij->i", A, A) * ((1.0 - eps) / 2.0)
+        least = half - t * t / 2.0
+    else:  # g_ij >= 1 - t - eps
+        least = np.full(n, 1.0 - t - eps)
+    parent = np.arange(n)
+    for lo in range(0, n, _TILE):
+        hi = min(lo + _TILE, n)
+        G = A[lo:hi] @ A[lo:].T
+        if euclidean:
+            G -= half[None, lo:]
+        if not (-np.inf < G.min() and G.max() < np.inf):
+            raise ValueError("distance matrix contains non-finite entries")
+        ii, jj = np.nonzero(G >= least[lo:hi, None])
+        _union(parent, ii + lo, jj + lo)
+
+    roots = np.flatnonzero(parent == np.arange(n))
+    group_of = np.empty(n, dtype=np.int64)
+    group, filled = -1, _BIN
+    for root, size in zip(roots.tolist(), np.bincount(parent)[roots].tolist()):
+        if filled + size > _BIN:
+            group, filled = group + 1, 0
+        filled += size
+        group_of[root] = group
+    labels = group_of[parent]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
 def cluster_ahc(observations, params: AhcParams = AhcParams()) -> Clustering:
-    """Convenience wrapper: pairwise distances plus the average-linkage merge."""
-    dist = compute_distances(
-        observations, metric=params.metric, normalize=params.normalize_descriptors
-    )
-    return ahc_average_linkage(dist, params)
+    """Average-linkage clustering of descriptors, one group of rows at a time.
+
+    The descriptors are checked and normalized once, for every row, so a
+    :class:`DegenerateVectorError` names the row or observation as
+    :func:`compute_distances` on the whole input would. Then:
+
+    1. Grouping. Rows are joined wherever the Gram form of their distance
+       is within the cut plus a slack, and the components of that graph
+       are packed, in order of their smallest member, into groups of at
+       most ``_BIN`` rows (a larger component is a group of its own). With
+       n <= ``_BIN`` the whole input is one group and this step is skipped.
+    2. Per group, :func:`compute_distances` on the group's rows and
+       :func:`ahc_average_linkage`; the clusters are mapped back to global
+       indices and ordered by smallest member.
+
+    A group is a union of whole components of the cut graph of every
+    pairwise distance, so the argument in :func:`ahc_average_linkage` holds
+    unchanged: averages across groups never reach the cut, and the slot
+    order inside a group is the global order. The partition is that of one
+    loop over the whole matrix, up to how its Gram products round, which
+    differs between row subsets and so can only matter for a merge decided
+    by rounding.
+
+    The slack can only widen groups. With u = 2**-53, d the descriptor
+    length and gamma = d*u / (1 - d*u), any computed dot product of two
+    rows is within gamma*|a|*|b| <= gamma*(r_a + r_b)/2 of the exact one,
+    whatever the summation order, and so is each computed squared norm r.
+    Euclidean: if :func:`compute_distances` gives a pair at most
+    ``cut * (1 + kappa)`` (``kappa = 4 * n * u``, the widest bound
+    :func:`ahc_average_linkage` uses), the exact squared distance is at most
+    ``cut**2 * (1 + kappa)**2 * (1 + (d + 10) * u) + (2 * gamma + 4 * u) * (r_a + r_b)``
+    (the Gram path, or the direct recompute of near-duplicates). The edge
+    test ``g >= (r_a + r_b) / 2 * (1 - eps) - t**2 / 2`` with
+    ``t = cut * (1 + eps)``, computed as ``g - h_b >= h_a - t**2 / 2`` with
+    ``h = r * (1 - eps) / 2``, then holds whenever ``eps >= 4 * gamma + 12 * u``
+    and ``eps >= kappa + (d + 16) * u``.
+    Cosine and correlation: a computed distance at most ``cut * (1 + kappa)``
+    puts the computed unit-row product at least
+    ``1 - cut * (1 + kappa) * (1 + 3u) - 2 * gamma * (1 + (d + 2) u)``, and the
+    edge test ``g >= 1 - t - eps`` holds whenever ``eps >= kappa + 8 * u`` and
+    ``eps >= 2.1 * gamma + 3 * u`` (the unit rows are computed row by row, so
+    they are the same floats in every call). ``eps = 8 * (n + d + 8) * u``
+    meets all four with a factor of two to spare. A non-finite product
+    raises the error :func:`ahc_average_linkage` gives a non-finite matrix.
+
+    Memory is O(_TILE * n) for a block of the Gram matrix and its edges,
+    plus O(_BIN**2 + m**2) for one group's distances, where m is the
+    largest component: never the whole n x n matrix unless one component
+    spans the input.
+    """
+    X, A = _checked_rows(observations, params.metric, params.normalize_descriptors)
+    n = X.shape[0]
+    if n <= _BIN:
+        return ahc_average_linkage(compute_distances(X, params.metric, normalize=False), params)
+    groups = _cut_groups(A, params.metric == "euclidean", params.cut_threshold)
+    del A
+
+    final: list[list[int]] = []
+    for group in groups:
+        dist = compute_distances(X[group], params.metric, normalize=False)
+        local = ahc_average_linkage(dist, params)
+        del dist  # the next group's matrix is made without this one
+        final.extend(group[list(c)].tolist() for c in local.clusters)
+    final.sort(key=min)
+    return clustering_from_clusters(final, n, "ahc", {"method": "ahc", **vars(params)})
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,11 @@ def config_to_dict(config: SynthConfig) -> dict:
 
 
 def load_config(text: str) -> SynthConfig:
-    return config_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise SynthConfigError("malformed synth config: nested too deeply") from None
+    return config_from_dict(doc)
 
 
 def dump_config(config: SynthConfig) -> str:

@@ -643,6 +643,27 @@ def test_bad_config_values_rejected(tmp_path, synth_dir, capsys, text, message):
     assert message in err[0]
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["pipeline", "--obs", "{obs}", "--config", "{doc}"], "malformed config {doc}: nested too deeply"),
+        (["render", "--traits", "{doc}"], "malformed traits file {doc}: nested too deeply"),
+        (["synth", "--config", "{doc}"], "malformed synth config: nested too deeply"),
+    ],
+    ids=["pipeline-config", "render-traits", "synth-config"],
+)
+def test_deeply_nested_document_rejected(tmp_path, synth_dir, capsys, command, message):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000)
+    where = {"obs": synth_dir / "observations.jsonl", "doc": doc}
+    argv = [arg.format(**where) for arg in command] + ["--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {message.format(**where)}\n"
+
+
 def test_defaults_announced_on_stderr(synth_dir, tmp_path, capsys):
     main(
         [

@@ -5,9 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dataset_from_matrix, observations_from_matrix, pad128
+from egosocial import clustering as clustering_module
 from egosocial.clustering import (
+    METRICS,
     AhcParams,
     Clustering,
     DegenerateVectorError,
@@ -328,6 +332,207 @@ def test_distances_and_linkage_stay_near_one_dense_matrix(rng):
     # copy and 32-row temporaries, and linkage's 32-row gathers.
     assert distance_peak <= 1.12 * dense, distance_peak / dense
     assert linkage_peak <= 0.025 * dense, linkage_peak / dense
+
+
+# --- cluster_ahc on more rows than one group holds ------------------------------------
+# _BIN is lowered so that small inputs take the grouped path.
+
+
+@st.composite
+def _exact_rows(draw):
+    """A metric, a normalize flag and rows whose Gram products are exact in float64.
+
+    Rows are copies of up to eight base rows, so duplicates and exact distance
+    ties are common. With normalize off, euclidean rows are small integers;
+    otherwise a base row has 1, 4 or 16 entries of +-1 (zero-sum for
+    correlation), so its length is a power of two and normalizing is exact.
+    Every row may be scaled by 2**30.
+    """
+    metric = draw(st.sampled_from(METRICS))
+    normalize = draw(st.booleans())
+    d = 16
+    bases = []
+    for _ in range(draw(st.integers(1, 8))):
+        if metric == "euclidean" and not normalize:
+            bases.append(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+            continue
+        k = draw(st.sampled_from((4, 16) if metric == "correlation" else (1, 4, 16)))
+        if metric == "correlation":
+            signs = draw(st.permutations([1] * (k // 2) + [-1] * (k // 2)))
+        else:
+            signs = draw(st.lists(st.sampled_from((1, -1)), min_size=k, max_size=k))
+        row = [0] * d
+        for pos, sign in zip(draw(st.permutations(range(d))), signs):
+            row[pos] = sign
+        bases.append(row)
+    n = draw(st.integers(2, 24))
+    picks = draw(st.lists(st.integers(0, len(bases) - 1), min_size=n, max_size=n))
+    X = np.array([bases[i] for i in picks], dtype=float) * draw(st.sampled_from((1.0, 2.0**30)))
+    return metric, normalize, X
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=_exact_rows(),
+    at=st.integers(0, 10**6),
+    scale=st.sampled_from((1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 1.5)),
+    rows_per_group=st.integers(1, 23),
+)
+def test_grouped_ahc_matches_whole_matrix_and_oracle(case, at, scale, rows_per_group):
+    metric, normalize, X = case
+    D = compute_distances(X, metric=metric, normalize=normalize).entries
+    values = np.unique(D[D > 0])
+    # A cut at an exact pairwise distance, or a relative 1e-12 either side of it.
+    cut = float(values[at % values.size]) * scale if values.size else scale
+    params = AhcParams(metric=metric, cut_threshold=cut, normalize_descriptors=normalize)
+    whole = ahc_average_linkage(DistanceMatrix(entries=D, metric_tag=metric), params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering_module, "_BIN", min(rows_per_group, len(X) - 1))
+        grouped = cluster_ahc(X, params)
+    assert grouped == whole
+    assert partition_of(whole) == lance_williams_linkage(D, cut)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    metric=st.sampled_from(METRICS),
+    magnitude=st.sampled_from((1e-3, 1.0, 1e6)),
+    scale=st.sampled_from((1.0, 1.0 - 1e-12, 1.0 + 1e-12)),
+)
+def test_grouping_never_splits_pairs_within_the_cut(seed, metric, magnitude, scale):
+    # Random rows near a few centres: a pair in different groups must be above
+    # the widest threshold ahc_average_linkage uses, however its Gram rounds.
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 40)), int(rng.integers(2, 20))
+    centres = rng.standard_normal((int(rng.integers(1, 6)), d))
+    X = (centres[rng.integers(0, len(centres), n)] + 0.05 * rng.standard_normal((n, d))) * magnitude
+    D = compute_distances(X, metric=metric, normalize=False).entries
+    cut = float(D[0, int(rng.integers(1, n))]) * scale or 1.0
+    A = X if metric == "euclidean" else clustering_module._unit_rows(X, metric, [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering_module, "_BIN", 1)
+        groups = clustering_module._cut_groups(A, metric == "euclidean", cut)
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(n))
+    assert all(np.all(np.diff(g) > 0) for g in groups)
+    label = np.empty(n, dtype=int)
+    for i, g in enumerate(groups):
+        label[g] = i
+    apart = label[:, None] != label[None, :]
+    assert np.all(D[apart] > cut * (1.0 + 4.0 * n * 2.0**-53))
+
+
+def test_component_larger_than_a_group_is_a_group_of_its_own(rng, monkeypatch):
+    sizes = [2, 9, 1, 3, 2, 1]
+    centres = 10.0 * rng.standard_normal((len(sizes), 8))
+    X = np.vstack([c + 0.01 * rng.standard_normal((s, 8)) for c, s in zip(centres, sizes)])
+    X = X[rng.permutation(len(X))]
+    params = _euclid_params(1.0)
+    whole = ahc_average_linkage(compute_distances(X, normalize=False), params)
+    monkeypatch.setattr(clustering_module, "_BIN", 4)
+    groups = clustering_module._cut_groups(X, True, 1.0)
+    # Components in order of smallest member, packed into groups of <= 4 rows.
+    by_min = sorted(whole.clusters)
+    packed, current = [], []
+    for c in by_min:
+        if current and len(current) + len(c) > 4:
+            packed.append(sorted(current))
+            current = []
+        current += c
+    packed.append(sorted(current))
+    assert [g.tolist() for g in groups] == packed
+    assert any(len(g) == 9 for g in groups)
+    assert cluster_ahc(X, params) == whole
+
+
+def test_clusters_split_from_a_component_are_ordered_across_groups(monkeypatch):
+    # Rows 0, 1 and 3 form one component (0 - 1 - 3 within the cut) that splits
+    # into {0, 1} and {3}; row 2 is a component of its own, in the next group.
+    X = np.array([[0.0], [0.9], [50.0], [1.9]])
+    params = _euclid_params(1.0)
+    monkeypatch.setattr(clustering_module, "_BIN", 3)
+    assert [g.tolist() for g in clustering_module._cut_groups(X, True, 1.0)] == [[0, 1, 3], [2]]
+    assert cluster_ahc(X, params).clusters == ((0, 1), (2,), (3,))
+
+
+@pytest.mark.parametrize(
+    "metric, normalize, fault, message",
+    [
+        ("euclidean", True, 0.0, "cannot normalize zero-length descriptor"),
+        ("cosine", False, 0.0, "cosine distance undefined for zero descriptor"),
+        ("correlation", False, 0.75, "correlation undefined for constant descriptor"),
+        ("cosine", True, 0.0, "cannot normalize zero-length descriptor"),
+    ],
+)
+def test_degenerate_row_deep_in_a_large_input_is_named(rng, metric, normalize, fault, message):
+    X = rng.standard_normal((1100, 128))
+    X[1037] = fault
+    params = AhcParams(metric=metric, cut_threshold=0.5, normalize_descriptors=normalize)
+    assert len(X) > clustering_module._BIN
+    for rows, name in (
+        (X, "row 1037"),
+        (observations_from_matrix(X, image_prefix="img"), "observation 1037 (image 'img-01037')"),
+    ):
+        with pytest.raises(DegenerateVectorError) as whole:
+            compute_distances(rows, metric=metric, normalize=normalize)
+        with pytest.raises(DegenerateVectorError) as grouped:
+            cluster_ahc(rows, params)
+        assert str(grouped.value) == str(whole.value) == f"{message}: {name}"
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_non_finite_row_raises_as_the_whole_matrix_does(rng, monkeypatch, metric):
+    X = rng.standard_normal((6, 4))
+    X[4, 1] = np.nan
+    params = AhcParams(metric=metric, cut_threshold=0.5, normalize_descriptors=False)
+    with pytest.raises(ValueError, match="non-finite") as whole:
+        ahc_average_linkage(compute_distances(X, metric=metric, normalize=False), params)
+    monkeypatch.setattr(clustering_module, "_BIN", 2)
+    with pytest.raises(ValueError) as grouped:
+        cluster_ahc(X, params)
+    assert str(grouped.value) == str(whole.value)
+
+
+def test_grouped_ahc_peaks_well_below_one_dense_matrix(rng):
+    n, k = 3000, 30
+    centres = rng.standard_normal((k, 128))
+    X = centres[rng.integers(0, k, size=n)] + 0.01 * rng.standard_normal((n, 128))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clustering = cluster_ahc(X, AhcParams(cut_threshold=0.9))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert clustering.n_clusters == k
+    # Measured 0.213x (numpy 2.4): three groups of ten blobs, one group's
+    # matrix at a time, the descriptor copy and one 256-row Gram block.
+    assert peak < 0.35 * n * n * 8, peak / (n * n * 8)
+
+
+def test_one_giant_component_peaks_no_higher_than_the_whole_matrix_path(rng):
+    # A cut above the data's spread joins every row, so the one group is the
+    # whole input: the grouping pass must not hold O(n^2) edges on top of it.
+    # cluster_ahc may hold its checked copy of the descriptors and two n-entry
+    # index arrays besides (the whole-matrix path's copy is gone by then).
+    X = rng.standard_normal((1500, 16))
+    params = _euclid_params(100.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (
+            lambda: ahc_average_linkage(compute_distances(X, normalize=False), params),
+            lambda: cluster_ahc(X, params),
+        ):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = run()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert result.n_clusters == 1
+    finally:
+        tracemalloc.stop()
+    whole, grouped = peaks
+    assert grouped <= whole + X.nbytes + 16 * len(X), (grouped, whole)
 
 
 def test_assignment_cross_check(rng):
