@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, FaceObservation, IngestError, _iter_lines, _non_negative_int, _record
+from .ingest import Dataset, IngestError, _iter_lines, _non_negative_int, _record
 
 METRICS = ("euclidean", "cosine", "correlation")
 
@@ -387,32 +387,57 @@ def _check_distance_matrix(dist: DistanceMatrix) -> None:
 # average-linkage agglomerative clustering
 
 
+def _compress(parent: np.ndarray) -> None:
+    """Point every node of a union-find forest straight at its root, in place."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return
+        parent[:] = grand
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the sets of a[k] and b[k] for every k in a compressed forest.
+
+    Each round hooks the larger root of every pair still apart under the
+    smaller one (any one, where a root is in several pairs), so a root is
+    always its set's smallest member, and every round leaves fewer roots.
+    """
+    while True:
+        a, b = parent[a], parent[b]
+        apart = a != b
+        if not apart.any():
+            return
+        a, b = a[apart], b[apart]
+        parent[np.maximum(a, b)] = np.minimum(a, b)
+        _compress(parent)
+
+
+def _components(parent: np.ndarray) -> list[np.ndarray]:
+    """The sets of a compressed union-find forest, ordered by smallest member.
+
+    Every root is its set's smallest member (see :func:`_union`), so a
+    stable sort by root gives each set's members ascending, the sets in
+    order of their smallest member.
+    """
+    order = np.argsort(parent, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(parent[order])) + 1)
+
+
 def _cut_components(E: np.ndarray, threshold: float) -> list[np.ndarray]:
     """Connected components of the graph with an edge wherever E <= threshold.
 
-    Breadth-first search that scans each row once, when its node is in the
-    frontier, so the whole labelling is one pass over E, gathering _ROWS
-    rows at a time. Components come out ordered by their smallest member,
-    members ascending.
+    E is symmetric (:func:`_check_distance_matrix`), so its upper triangle
+    holds every edge. It is read _ROWS rows at a time, and each block's
+    edges are folded into the union-find :func:`_cut_groups` uses too.
+    Components come out ordered by their smallest member, members ascending.
     """
     n = E.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    components = []
-    for seed in range(n):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        frontier = np.array([seed])
-        found = [frontier]
-        while frontier.size:
-            reach = np.zeros(n, dtype=bool)
-            for lo in range(0, frontier.size, _ROWS):
-                reach |= (E[frontier[lo : lo + _ROWS]] <= threshold).any(axis=0)
-            frontier = np.flatnonzero(reach & ~seen)
-            seen[frontier] = True
-            found.append(frontier)
-        components.append(np.sort(np.concatenate(found)))
-    return components
+    parent = np.arange(n)
+    for lo in range(0, n, _ROWS):
+        ii, jj = np.nonzero(E[lo : lo + _ROWS, lo:] <= threshold)
+        _union(parent, ii + lo, jj + lo)
+    return _components(parent)
 
 
 def _merge_loop(D: np.ndarray, cut: float) -> list[list[int]]:
@@ -542,32 +567,6 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
 _BIN = 1024
 
 
-def _compress(parent: np.ndarray) -> None:
-    """Point every node of a union-find forest straight at its root, in place."""
-    while True:
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            return
-        parent[:] = grand
-
-
-def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Join the sets of a[k] and b[k] for every k in a compressed forest.
-
-    Each round hooks the larger root of every pair still apart under the
-    smaller one (any one, where a root is in several pairs), so a root is
-    always its set's smallest member, and every round leaves fewer roots.
-    """
-    while True:
-        a, b = parent[a], parent[b]
-        apart = a != b
-        if not apart.any():
-            return
-        a, b = a[apart], b[apart]
-        parent[np.maximum(a, b)] = np.minimum(a, b)
-        _compress(parent)
-
-
 def _cut_groups(A: np.ndarray, euclidean: bool, cut: float) -> list[np.ndarray]:
     """Whole cut-graph components of the rows of A, packed into groups of rows.
 
@@ -575,10 +574,10 @@ def _cut_groups(A: np.ndarray, euclidean: bool, cut: float) -> list[np.ndarray]:
     correlation). An edge joins two rows wherever the Gram form of their
     distance is within the cut plus a slack (see :func:`cluster_ahc`); the
     Gram matrix is formed in row blocks of the upper triangle, and each
-    block's edges are folded into a union-find and dropped. Components,
-    ordered by smallest member, are packed in that order into groups of at
-    most ``_BIN`` rows; a larger component is a group of its own. Each
-    group's rows are ascending.
+    block's edges are folded into the union-find :func:`_cut_components`
+    uses too, and dropped. Components, ordered by smallest member, are
+    packed in that order into groups of at most ``_BIN`` rows; a larger
+    component is a group of its own. Each group's rows are ascending.
     """
     n, d = A.shape
     eps = 8.0 * (n + d + 8) * 2.0**-53
@@ -599,17 +598,15 @@ def _cut_groups(A: np.ndarray, euclidean: bool, cut: float) -> list[np.ndarray]:
         ii, jj = np.nonzero(G >= least[lo:hi, None])
         _union(parent, ii + lo, jj + lo)
 
-    roots = np.flatnonzero(parent == np.arange(n))
-    group_of = np.empty(n, dtype=np.int64)
-    group, filled = -1, _BIN
-    for root, size in zip(roots.tolist(), np.bincount(parent)[roots].tolist()):
-        if filled + size > _BIN:
-            group, filled = group + 1, 0
-        filled += size
-        group_of[root] = group
-    labels = group_of[parent]
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    groups: list[list[np.ndarray]] = []
+    filled = _BIN
+    for comp in _components(parent):
+        if filled + comp.size > _BIN:
+            groups.append([])
+            filled = 0
+        groups[-1].append(comp)
+        filled += comp.size
+    return [np.sort(np.concatenate(group)) for group in groups]
 
 
 def cluster_ahc(observations, params: AhcParams = AhcParams()) -> Clustering:
@@ -712,7 +709,7 @@ def meanshift(
     cluster. Trajectories still moving after ``max_iter`` are labeled from
     their last mode and counted in ``params_used['unconverged']``.
     """
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     X, _ = _descriptor_rows(observations)
     n = X.shape[0]
@@ -814,7 +811,7 @@ def spectral(
     n = X.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if affinity_scale <= 0:
+    if not affinity_scale > 0:
         raise ValueError("affinity_scale must be positive")
 
     d2 = _sq_dists(X, X)
@@ -925,10 +922,11 @@ def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
     """Rebuild per-wearer clusterings from their line-record form.
 
     Records must cover exactly the observations of each wearer present in
-    the file; the dataset supplies observation order. A malformed header or
-    record raises :class:`IngestError` with its line number. ``text`` is the
-    whole file, not an open one, because the headers are read before the
-    records; its lines are numbered as the other readers number theirs.
+    the file; the dataset's per-wearer index supplies observation order. A
+    malformed header or record raises :class:`IngestError` with its line
+    number. ``text`` is the whole file, not an open one, because the headers
+    are read before the records; its lines are numbered as the other readers
+    number theirs.
     """
     lines = text.splitlines()
     headers: dict = {}
@@ -958,13 +956,11 @@ def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
             )
         own[image, face] = (cid, line_no)
 
-    by_wearer: dict[str, list[FaceObservation]] = {}
-    for o in dataset.observations:
-        by_wearer.setdefault(o.wearer_id, []).append(o)
     out: dict[str, Clustering] = {}
     for wearer in sorted(records):
         own = records[wearer]
-        obs = by_wearer.get(wearer, [])
+        part = dataset._wearer_index.get(wearer)
+        obs = part.observations if part else []
         keys = [(o.image_id, o.face_index) for o in obs]
         stray = own.keys() - set(keys)
         if stray:

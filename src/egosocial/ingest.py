@@ -66,7 +66,7 @@ ObservationKey = tuple[str, str, int]
 
 # What every line-record reader takes: the whole text, or an open text file
 # (any iterable of str lines) read one line at a time.
-LineSource = str | bytes | Iterable[str] | IO[str]
+LineSource = str | Iterable[str] | IO[str]
 
 
 class IngestError(ValueError):
@@ -267,8 +267,6 @@ def _iter_lines(source: LineSource) -> Generator[tuple[int, str], None, int]:
     ``surrogateescape`` is rejected with its line. Returns the number of
     lines, blank and comment lines included.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", "surrogateescape")
     if isinstance(source, str):
         source = source.splitlines()
     no = 0

@@ -38,10 +38,14 @@ class SegmentationParams:
     max_gap_minutes: float = 15.0
 
     def __post_init__(self):
-        if not self.min_event_minutes > 0:
-            raise ValueError("min_event_minutes must be positive")
-        if not self.max_gap_minutes > 0:
-            raise ValueError("max_gap_minutes must be positive")
+        for name in ("min_event_minutes", "max_gap_minutes"):
+            minutes = getattr(self, name)
+            if not minutes > 0:
+                raise ValueError(f"{name} must be positive")
+            try:
+                timedelta(minutes=minutes)
+            except OverflowError:
+                raise ValueError(f"{name} exceeds the longest duration, got {minutes!r}") from None
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,71 @@ def naive_truth_fault(lines: list[str]) -> tuple[int, str] | None:
     return None
 
 
+def naive_interactions_fault(lines: list[str]) -> tuple[int, str] | None:
+    """The line number and message of the first faulty interaction line; None if
+    all are valid."""
+    fields = ("wearer_id", "person_cluster_id", "day", "start", "end", "observation_count")
+    for no, line in _content_lines(lines):
+        record = _reject_record(line)
+        if isinstance(record, str):
+            return no, record
+        missing = [k for k in fields if k not in record]
+        if missing:
+            return no, f"missing fields {missing}"
+        checked = [_naive_day(record["day"]), _naive_instant(record["start"])]
+        checked.append(_naive_instant(record["end"]))
+        for value in checked:
+            if isinstance(value, str):
+                return no, value
+        for key in ("person_cluster_id", "observation_count"):
+            if not _naive_count(record[key]):
+                return no, f"{key} must be a non-negative integer, got {record[key]!r}"
+        day, start, end = checked
+        if start > end:
+            return no, "interaction start must not exceed end"
+        if start.date() != day or end.date() != day:
+            return no, "interaction must lie within its day"
+    return None
+
+
+def naive_clustering_fault(lines: list[str], dataset) -> tuple[int | None, str] | None:
+    """The line number and message of the first fault of a clustering file whose
+    header is valid, checking every record line in turn and then each wearer the
+    records name, in sorted order, against a full scan of the dataset; None if
+    the file is valid. A record the file lacks has no line, so its number is None."""
+    first_seen: dict[tuple[str, str, int], int] = {}
+    for no, line in _content_lines(lines):
+        record = _reject_record(line)
+        if isinstance(record, str):
+            return no, record
+        missing = [k for k in ("wearer_id", "image_id", "face_index", "cluster_id") if k not in record]
+        if missing:
+            return no, f"missing fields {missing}"
+        wearer, image, face = record["wearer_id"], record["image_id"], record["face_index"]
+        if not isinstance(wearer, str) or not isinstance(image, str):
+            return no, "wearer_id and image_id must be strings"
+        if not _naive_count(face):
+            return no, f"face_index must be a non-negative integer, got {face!r}"
+        cid = record["cluster_id"]
+        if type(cid) is not int or cid < -1:
+            return no, f"cluster_id must be an integer >= -1, got {cid!r}"
+        if (wearer, image, face) in first_seen:
+            return no, (
+                f"duplicate record for {(wearer, image, face)}, "
+                f"first seen on line {first_seen[wearer, image, face]}"
+            )
+        first_seen[wearer, image, face] = no
+    for wearer in sorted({key[0] for key in first_seen}):
+        keys = [o.key for o in dataset.observations if o.wearer_id == wearer]
+        stray = [no for key, no in first_seen.items() if key[0] == wearer and key not in keys]
+        if stray:
+            return min(stray), "record names no observation in the dataset"
+        for key in keys:
+            if key not in first_seen:
+                return None, f"clustering file lacks a record for {key}"
+    return None
+
+
 def naive_wearers(dataset) -> tuple[str, ...]:
     """Every wearer with an observation or a coverage entry, by a full scan."""
     seen = {o.wearer_id for o in dataset.observations}

@@ -620,6 +620,7 @@ def test_bad_clustering_file_rejected_with_line(
         ('{"k": 2.5}', "config key 'k' must be int or null, got 2.5"),
         ('{"cut_threshold": 0.9,\n "k": }', "line 2: malformed config"),
         ("[0.9]", "must hold a JSON object"),
+        ('{"min_event_min": 1e300}', "min_event_minutes exceeds the longest duration, got 1e+300"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, synth_dir, capsys, text, message):
@@ -641,6 +642,26 @@ def test_bad_config_values_rejected(tmp_path, synth_dir, capsys, text, message):
     assert len(err) == 1
     assert err[0].startswith("error: ")
     assert message in err[0]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-gap-min", "inf"], "max_gap_minutes exceeds the longest duration, got inf"),
+        (["--min-event-min", "1e300"], "min_event_minutes exceeds the longest duration, got 1e+300"),
+        (["--method", "meanshift", "--bandwidth", "nan"], "bandwidth must be positive"),
+        (["--method", "spectral", "--k", "3", "--affinity-scale", "nan"], "affinity_scale must be positive"),
+    ],
+    ids=["max-gap-inf", "min-event-huge", "bandwidth-nan", "affinity-scale-nan"],
+)
+def test_out_of_range_run_flag_rejected(tmp_path, synth_dir, capsys, flags, message):
+    obs = str(synth_dir / "observations.jsonl")
+    capsys.readouterr()
+    rc = main(["pipeline", "--obs", obs, "--out", str(tmp_path / "o"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: {message}"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset_from_matrix, observations_from_matrix, pad128
+from conftest import (
+    dataset_from_matrix,
+    edit_lines,
+    line_edits,
+    observations_from_matrix,
+    pad128,
+)
 from egosocial import clustering as clustering_module
 from egosocial.clustering import (
     METRICS,
@@ -29,11 +36,12 @@ from egosocial.clustering import (
     validate_clustering,
 )
 from egosocial.consistency import pearson
-from egosocial.ingest import Dataset
+from egosocial.ingest import Dataset, IngestError
 from oracles import (
     distance_double_loop,
     lance_williams_linkage,
     naive_average_linkage,
+    naive_clustering_fault,
     partition_of,
 )
 
@@ -597,6 +605,11 @@ def test_meanshift_rejects_bad_bandwidth(rng):
         meanshift(rng.standard_normal((4, 128)), bandwidth=0.0)
 
 
+def test_meanshift_rejects_nan_bandwidth(rng):
+    with pytest.raises(ValueError, match="^bandwidth must be positive$"):
+        meanshift(rng.standard_normal((4, 128)), bandwidth=float("nan"))
+
+
 def test_estimate_bandwidth_median(rng):
     X = rng.standard_normal((20, 128))
     bw = estimate_bandwidth(X)
@@ -639,6 +652,12 @@ def test_spectral_validates_k(rng):
         spectral(X, k=0, affinity_scale=1.0)
     with pytest.raises(ValueError):
         spectral(X, k=5, affinity_scale=1.0)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_spectral_rejects_bad_affinity_scale(rng, scale):
+    with pytest.raises(ValueError, match="^affinity_scale must be positive$"):
+        spectral(rng.standard_normal((4, 128)), k=2, affinity_scale=scale)
 
 
 # --- clustering container and serialization ---------------------------------------
@@ -688,3 +707,64 @@ def test_serialization_round_trip_with_discarded(rng):
     parsed = parse_clustering(text, dataset)
     assert parsed["u1"].clusters == ((0, 2), (3,))
     assert parsed["u1"].discarded == (1, 4)
+
+
+def _two_wearer_clustering_file() -> tuple[Dataset, list[str]]:
+    """Two wearers' observations, and the header line and records of their clusterings."""
+    X = np.arange(7 * 128, dtype=float).reshape(7, 128)
+    one = dataset_from_matrix(X[:4], wearer="u1", image_prefix="img")
+    two = dataset_from_matrix(X[4:], wearer="u2", image_prefix="img")
+    per_wearer = {
+        "u1": (one, clustering_from_clusters([[0, 2], [3]], 4, "ahc", {}, discarded=(1,))),
+        "u2": (two, clustering_from_clusters([[0, 1, 2]], 3, "ahc", {})),
+    }
+    dataset = Dataset(one.observations + two.observations, {**one.coverage, **two.coverage})
+    return dataset, serialize_clustering(per_wearer).splitlines()
+
+
+_CLUSTERING_DATASET, _CLUSTERING_LINES = _two_wearer_clustering_file()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=line_edits(("wearer_id", "image_id", "face_index", "cluster_id")))
+def test_clustering_reader_rejects_as_the_line_by_line_oracle(edits):
+    header, *records = _CLUSTERING_LINES  # the header stays valid
+    lines = [header] + edit_lines(records, edits)
+    text = "\n".join(lines)
+    expected = naive_clustering_fault(lines, _CLUSTERING_DATASET)
+    if expected is None:
+        parsed = parse_clustering(text, _CLUSTERING_DATASET)
+        named = set()  # (wearer, cluster id in the file, parsed cluster id)
+        for line in lines[1:]:
+            if not line.strip() or line.strip().startswith("#"):
+                continue
+            rec = json.loads(line)
+            wearer = rec["wearer_id"]
+            keys = [o.key for o in _CLUSTERING_DATASET.observations if o.wearer_id == wearer]
+            idx = keys.index((wearer, rec["image_id"], rec["face_index"]))
+            named.add((wearer, rec["cluster_id"], parsed[wearer].assignment[idx]))
+        # The file's ids and the parsed ones name the same clusters, and the same pool.
+        assert len(named) == len({(w, cid) for w, cid, _ in named})
+        assert len(named) == len({(w, label) for w, _, label in named})
+        assert all((cid == -1) == (label == -1) for _, cid, label in named)
+        return
+    with pytest.raises(ValueError) as info:
+        parse_clustering(text, _CLUSTERING_DATASET)
+    line_no, message = expected
+    if line_no is None:  # a record the file lacks
+        assert not isinstance(info.value, IngestError)
+        assert str(info.value) == message
+    else:
+        assert isinstance(info.value, IngestError)
+        assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+def test_clustering_reader_names_the_first_of_several_stray_records():
+    header, *records = _CLUSTERING_LINES
+    edits = [(3, ("set", "face_index", 5)), (1, ("set", "image_id", "img-9"))]
+    lines = [header] + edit_lines(records, edits)
+    message = "record names no observation in the dataset"
+    assert naive_clustering_fault(lines, _CLUSTERING_DATASET) == (3, message)
+    with pytest.raises(IngestError) as info:
+        parse_clustering("\n".join(lines), _CLUSTERING_DATASET)
+    assert (str(info.value), info.value.line_no) == (f"line 3: {message}", 3)

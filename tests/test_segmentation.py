@@ -4,10 +4,11 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import DAY, at, observations_from_matrix
+from conftest import DAY, at, content_line_count, edit_lines, line_edits, observations_from_matrix
 from egosocial.clustering import clustering_from_clusters
-from egosocial.ingest import Dataset, FaceObservation
+from egosocial.ingest import Dataset, FaceObservation, IngestError
 from egosocial.segmentation import (
     Interaction,
     SegmentationParams,
@@ -16,7 +17,7 @@ from egosocial.segmentation import (
     segment,
     serialize_interactions,
 )
-from oracles import occupancy_minutes
+from oracles import naive_interactions_fault, occupancy_minutes
 
 
 def _obs_at(stamps, wearer="u1", cluster_prefix="img"):
@@ -246,8 +247,67 @@ def test_serialization_round_trip():
     assert parse_interactions(text) == events
 
 
+_NEXT_DAY = DAY + timedelta(days=1)
+_INTERACTION_LINES = serialize_interactions(
+    [
+        _interaction("u1", 0, at(9, 0), at(9, 20)),
+        _interaction("u1", 1, at(10, 0), at(10, 5)),
+        _interaction("u2", 0, at(14, 0), at(14, 30)),
+        _interaction("u2", 2, at(16, 0, day=_NEXT_DAY), at(16, 9, day=_NEXT_DAY)),
+    ]
+).splitlines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=line_edits(
+        ("wearer_id", "person_cluster_id", "day", "start", "end", "observation_count")
+    )
+)
+def test_interactions_reader_rejects_as_the_line_by_line_oracle(edits):
+    lines = edit_lines(_INTERACTION_LINES, edits)
+    expected = naive_interactions_fault(lines)
+    if expected is None:
+        assert len(parse_interactions("\n".join(lines))) == content_line_count(lines)
+        return
+    with pytest.raises(IngestError) as info:
+        parse_interactions("\n".join(lines))
+    line_no, message = expected
+    assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (("set", "start", "2024-03-04T21:00:00Z"), "interaction start must not exceed end"),
+        (("set", "day", "2024-03-05"), "interaction must lie within its day"),
+        (("set", "end", "2024-03-05T01:00:00+00:00"), "interaction must lie within its day"),
+    ],
+)
+def test_interaction_record_out_of_order_or_off_its_day_rejected(edit, message):
+    lines = edit_lines(_INTERACTION_LINES, [(1, edit)])
+    assert naive_interactions_fault(lines) == (2, message)
+    with pytest.raises(IngestError) as info:
+        parse_interactions("\n".join(lines))
+    assert (str(info.value), info.value.line_no) == (f"line 2: {message}", 2)
+
+
 def test_params_validated():
     with pytest.raises(ValueError):
         SegmentationParams(min_event_minutes=0.0)
     with pytest.raises(ValueError):
         SegmentationParams(max_gap_minutes=-1.0)
+
+
+@pytest.mark.parametrize("field", ["min_event_minutes", "max_gap_minutes"])
+@pytest.mark.parametrize("minutes", [float("inf"), 1e300, 1.44e12])
+def test_params_beyond_the_longest_duration_rejected(field, minutes):
+    with pytest.raises(ValueError, match=f"^{field} exceeds the longest duration, got "):
+        SegmentationParams(**{field: minutes})
+
+
+def test_params_up_to_the_longest_duration_segment():
+    longest = float(timedelta.max.days * 24 * 60)
+    dataset, clustering = _dataset_and_clustering([[at(9, 0), at(9, 10)]])
+    result = segment(clustering, dataset, SegmentationParams(longest, longest))
+    assert (len(result.interactions), result.sub_event_runs) == (0, 1)
