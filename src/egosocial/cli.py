@@ -51,7 +51,7 @@ from .evaluation import (
 )
 from .ingest import (
     Dataset,
-    IngestError,
+    _decode,
     _iter_lines,
     load_dataset,
     serialize_coverage,
@@ -61,7 +61,7 @@ from .ingest import (
 from .profile import SocialProfile, SocialTraits, build_profiles, compute_traits
 from .render import radar_spec_from_profiles, render_radar, render_table
 from .segmentation import SegmentationParams, parse_interactions, segment, serialize_interactions
-from .synth import dump_config, generate, load_config, serialize_schedule_truth
+from .synth import config_from_dict, dump_config, generate, serialize_schedule_truth
 
 METHODS = ("ahc", "meanshift", "spectral")
 
@@ -140,22 +140,18 @@ def _check_value(name: str, hint: object, value: object) -> None:
         raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
-def _read_document(path: Path) -> str:
-    """The text of a one-document input; an undecodable byte is named by line and column."""
+def _read_document(path: Path, what: str) -> object:
+    """The JSON value of a one-document input, named ``what`` in a reject message; an
+    undecodable byte is named by line and column."""
     text = path.read_text(errors="surrogateescape")
     for _ in _iter_lines(text):  # rejects the first escaped byte, naming its line
         pass
-    return text
+    return _decode(text, what)
 
 
 def _read_config_overrides(path: Path) -> dict:
     """Parse a --config file into RunConfig overrides, checking keys and value types."""
-    try:
-        overrides = json.loads(_read_document(path))
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"malformed config {path}: {exc.msg}", exc.lineno) from None
-    except RecursionError:
-        raise IngestError(f"malformed config {path}: nested too deeply") from None
+    overrides = _read_document(path, f"config {path}")
     if not isinstance(overrides, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     hints = typing.get_type_hints(RunConfig)
@@ -320,10 +316,7 @@ def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
     """The records and provenance fingerprint of a traits report; names a missing key
     or a value whose JSON type does not fit its field. A report without a
     provenance, or a provenance without a fingerprint, is "unspecified"."""
-    try:
-        doc = json.loads(_read_document(path))
-    except RecursionError:
-        raise ValueError(f"malformed traits file {path}: nested too deeply") from None
+    doc = _read_document(path, f"traits file {path}")
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"traits file {path} lacks key 'wearers' (a list of records)")
@@ -370,7 +363,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = load_config(_read_document(Path(args.config)))
+    config = config_from_dict(_read_document(Path(args.config), "synth config"))
     result = generate(config)
     out = Path(args.out)
     _write(out / "observations.jsonl", serialize_observations(result.dataset))

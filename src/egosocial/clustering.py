@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, IngestError, _iter_lines, _non_negative_int, _record
+from .ingest import Dataset, IngestError, _decode, _observation_key, _records
 
 METRICS = ("euclidean", "cosine", "correlation")
 
@@ -899,10 +899,7 @@ def serialize_clustering(
 
 
 def _clustering_header(line: str, line_no: int) -> dict:
-    try:
-        header = json.loads(line[len(CLUSTERING_HEADER) :])
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"malformed clustering header: {exc.msg}", line_no) from None
+    header = _decode(line[len(CLUSTERING_HEADER) :], "clustering header", line_no)
     if not isinstance(header, dict) or not all(
         isinstance(meta, dict)
         and isinstance(meta.get("method", ""), str)
@@ -936,15 +933,10 @@ def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
             headers = _clustering_header(line, line_no)
 
     records: dict[str, dict[tuple[str, int], tuple[int, int]]] = {}
-    for line_no, line in _iter_lines(lines):
-        rec = _record(line, line_no)
-        missing = [f for f in _CLUSTERING_FIELDS if f not in rec]
-        if missing:
-            raise IngestError(f"missing fields {missing}", line_no)
-        wearer, image, cid = rec["wearer_id"], rec["image_id"], rec["cluster_id"]
-        if not (isinstance(wearer, str) and isinstance(image, str)):
-            raise IngestError("wearer_id and image_id must be strings", line_no)
-        face = _non_negative_int(rec, "face_index", line_no)
+    for line_no, ((wearer, image, face), rec) in _records(
+        lines, _CLUSTERING_FIELDS, _observation_key
+    ):
+        cid = rec["cluster_id"]
         if not isinstance(cid, int) or isinstance(cid, bool) or cid < -1:
             raise IngestError(f"cluster_id must be an integer >= -1, got {cid!r}", line_no)
         own = records.setdefault(wearer, {})

@@ -23,9 +23,9 @@ from .ingest import (
     IngestError,
     LineSource,
     ObservationKey,
-    _iter_lines,
-    _non_negative_int,
-    _record,
+    _observation_key,
+    _records,
+    _strings,
 )
 from .render import format_text_table
 
@@ -200,23 +200,16 @@ def parse_ground_truth(source: LineSource) -> GroundTruth:
     """
     labels: dict[ObservationKey, str] = {}
     seen: dict[ObservationKey, int] = {}
-    for line_no, line in _iter_lines(source):
-        rec = _record(line, line_no)
-        missing = [f for f in _TRUTH_FIELDS if f not in rec]
-        if missing:
-            raise IngestError(f"missing fields {missing}", line_no)
-        wearer, image = rec["wearer_id"], rec["image_id"]
-        if not (isinstance(wearer, str) and isinstance(image, str)):
-            raise IngestError("wearer_id and image_id must be strings", line_no)
-        key = (wearer, image, _non_negative_int(rec, "face_index", line_no))
+    for line_no, (key, rec) in _records(source, _TRUTH_FIELDS, _observation_key):
         if key in seen:
             raise IngestError(
-                f"duplicate (image_id, face_index) = ({image!r}, {key[2]}) "
-                f"for wearer {wearer!r}, first seen on line {seen[key]}",
+                f"duplicate (image_id, face_index) = ({key[1]!r}, {key[2]}) "
+                f"for wearer {key[0]!r}, first seen on line {seen[key]}",
                 line_no,
             )
         seen[key] = line_no
-        labels[key] = str(rec["label"])
+        _strings(rec, ("label",), line_no)
+        labels[key] = rec["label"]
     return GroundTruth(labels=labels)
 
 

@@ -38,6 +38,14 @@ values, duplicate (image_id, face_index) keys, and timestamp/day
 mismatches are rejecting errors that name the offending line. Nothing is
 silently dropped. Descriptors are stored exactly as given; normalization
 is a clustering-stage option so the raw inputs stay inspectable.
+
+Every reader of the toolkit keeps one contract. :func:`_decode` is the only
+JSON decoder, for record lines, the clustering header and whole documents
+alike. :func:`_records` is the only record loop: a reader is its field list
+plus a function that checks and builds one record with the field checks
+here. Identifiers are JSON strings, checked, never coerced. A new check goes
+after a reader's existing ones, so an input rejected before keeps its
+message and line.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from functools import cached_property
-from typing import IO, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -288,23 +296,58 @@ def _iter_lines(source: LineSource) -> Generator[tuple[int, str], None, int]:
     return no
 
 
-def _record(line: str, line_no: int) -> dict:
+def _decode(text: str, what: str, line_no: int | None = None) -> object:
+    """The JSON value of ``text``; any fault is ``malformed {what}: ...`` at ``line_no``,
+    or, for a syntax error in a whole document, at the line the decoder names."""
     try:
-        record = json.loads(line)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise IngestError(f"malformed record: {exc.msg}", line_no) from None
+        raise IngestError(f"malformed {what}: {exc.msg}", line_no or exc.lineno) from None
     except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise IngestError(f"malformed record: {exc}", line_no) from None
+        raise IngestError(f"malformed {what}: {exc}", line_no) from None
     except RecursionError:
-        raise IngestError("malformed record: nested too deeply", line_no) from None
-    if not isinstance(record, dict):
-        raise IngestError("record is not an object", line_no)
-    return record
+        raise IngestError(f"malformed {what}: nested too deeply", line_no) from None
+
+
+def _records(
+    source: LineSource, fields: Sequence[str], build: Callable[[dict, int], object]
+) -> Generator[tuple[int, object], None, int]:
+    """(line number, ``build(record, line number)``) for each JSON object of ``source``
+    that holds every key in ``fields``; returns the line count of :func:`_iter_lines`."""
+    lines = _iter_lines(source)
+    while True:
+        try:
+            line_no, line = next(lines)
+        except StopIteration as end:
+            return end.value
+        record = _decode(line, "record", line_no)
+        if not isinstance(record, dict):
+            raise IngestError("record is not an object", line_no)
+        missing = [f for f in fields if f not in record]
+        if missing:
+            raise IngestError(f"missing fields {missing}", line_no)
+        yield line_no, build(record, line_no)
+
+
+def _strings(record: dict, keys: tuple[str, ...], line_no: int) -> None:
+    """Reject ``record`` unless the value of each of ``keys`` is a JSON string."""
+    for key in keys:
+        if not isinstance(record[key], str):
+            kind = "strings" if len(keys) > 1 else "a string"
+            raise IngestError(f"{' and '.join(keys)} must be {kind}", line_no)
+
+
+def _built(make: Callable[..., object], line_no: int, **values) -> object:
+    """``make(**values)``, a record whose own checks raise ValueError, named by its line."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise IngestError(str(exc), line_no) from None
 
 
 _OBSERVATION_FIELDS = ("wearer_id", "day", "timestamp", "image_id", "face_index", "descriptor")
 
-# The types json.loads gives a JSON number; bool is neither, so exact-type
+# The types the JSON decoder gives a number; bool is neither, so exact-type
 # membership also rejects true/false.
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -346,32 +389,32 @@ def _parse_descriptor(raw: list, line_no: int) -> np.ndarray:
     raise IngestError(f"non-finite or non-numeric descriptor entry {bad!r}", line_no)
 
 
-def _parse_observation_line(line: str, line_no: int) -> FaceObservation:
-    record = _record(line, line_no)
-    missing = [f for f in _OBSERVATION_FIELDS if f not in record]
-    if missing:
-        raise IngestError(f"missing fields {missing}", line_no)
+def _observation(record: dict, line_no: int) -> FaceObservation:
     raw_desc = record["descriptor"]
     if not isinstance(raw_desc, list) or len(raw_desc) != DESCRIPTOR_DIM:
         got = len(raw_desc) if isinstance(raw_desc, list) else type(raw_desc).__name__
         raise IngestError(
             f"descriptor must be an array of {DESCRIPTOR_DIM} numbers, got {got}", line_no
         )
-    descriptor = _parse_descriptor(raw_desc, line_no)
+    obs = _built(  # checked in the order of the arguments
+        FaceObservation,
+        line_no,
+        descriptor=_CheckedDescriptor(_parse_descriptor(raw_desc, line_no)),
+        face_index=_non_negative_int(record, "face_index", line_no),
+        day=_parse_day(record["day"], line_no),
+        timestamp=_parse_timestamp(record["timestamp"], line_no),
+        wearer_id=record["wearer_id"],
+        image_id=record["image_id"],
+    )
+    _strings(record, ("wearer_id", "image_id"), line_no)
+    return obs
+
+
+def _observation_key(record: dict, line_no: int) -> tuple[ObservationKey, dict]:
+    """The observation a truth or clustering record names, and the record."""
+    _strings(record, ("wearer_id", "image_id"), line_no)
     face_index = _non_negative_int(record, "face_index", line_no)
-    day = _parse_day(record["day"], line_no)
-    timestamp = _parse_timestamp(record["timestamp"], line_no)
-    try:
-        return FaceObservation(
-            wearer_id=str(record["wearer_id"]),
-            day=day,
-            timestamp=timestamp,
-            image_id=str(record["image_id"]),
-            face_index=face_index,
-            descriptor=_CheckedDescriptor(descriptor),
-        )
-    except ValueError as exc:
-        raise IngestError(str(exc), line_no) from None
+    return (record["wearer_id"], record["image_id"], face_index), record
 
 
 def _sort_key(obs: FaceObservation):
@@ -423,17 +466,6 @@ _SPLITTABLE_CODECS = frozenset(("ascii", "utf-8", "iso8859-1"))
 
 # (line number, observation) per record of a part; returns the part's line count.
 _PartRecords = Generator[tuple[int, FaceObservation], None, int]
-
-
-def _observation_records(source: LineSource) -> _PartRecords:
-    """Each record of ``source`` parsed, numbered as :func:`_iter_lines` numbers it."""
-    lines = _iter_lines(source)
-    while True:
-        try:
-            line_no, line = next(lines)
-        except StopIteration as end:
-            return end.value
-        yield line_no, _parse_observation_line(line, line_no)
 
 
 def _merge_parts(parts: Iterable[_PartRecords]) -> list[FaceObservation]:
@@ -555,7 +587,7 @@ def _send_part(stream: IO[bytes], lines: Iterable[str]) -> None:
     the pipe while the parent parses its own part.
     """
     fields, rows = [], []
-    records = _observation_records(lines)
+    records = _records(lines, _OBSERVATION_FIELDS, _observation)
     while True:
         try:
             line_no, obs = next(records)
@@ -651,7 +683,9 @@ def _parse_parts(source: IO[str], ranges: list[tuple[int, int]]) -> list[FaceObs
             except OSError:  # no process to spare
                 children.append(None)
         parts = (
-            child.records() if child else _observation_records(_part_text(fd, *span, encoding))
+            child.records()
+            if child
+            else _records(_part_text(fd, *span, encoding), _OBSERVATION_FIELDS, _observation)
             for span, child in zip(ranges, children)
         )
         observations = _merge_parts(parts)
@@ -680,7 +714,7 @@ def parse_observations(source: LineSource) -> Dataset:
     if ranges:
         observations = _parse_parts(source, ranges)
     else:
-        observations = _merge_parts([_observation_records(source)])
+        observations = _merge_parts([_records(source, _OBSERVATION_FIELDS, _observation)])
     observations.sort(key=_sort_key)
     return Dataset(tuple(observations), _synthesize_coverage(observations))
 
@@ -688,30 +722,25 @@ def parse_observations(source: LineSource) -> Dataset:
 _COVERAGE_FIELDS = ("wearer_id", "day", "start", "end")
 
 
+def _coverage_entry(record: dict, line_no: int) -> DayCoverage:
+    count = _non_negative_int(record, "image_count", line_no) if "image_count" in record else 0
+    entry = _built(  # checked in the order of the arguments
+        DayCoverage,
+        line_no,
+        image_count=count,
+        day=_parse_day(record["day"], line_no),
+        start=_parse_timestamp(record["start"], line_no),
+        end=_parse_timestamp(record["end"], line_no),
+        wearer_id=record["wearer_id"],
+    )
+    _strings(record, ("wearer_id",), line_no)
+    return entry
+
+
 def parse_coverage(source: LineSource) -> tuple[DayCoverage, ...]:
     """Parse a coverage manifest, a string or an open text file of JSON records, one a line."""
     entries: dict[tuple[str, date], DayCoverage] = {}
-    for line_no, line in _iter_lines(source):
-        record = _record(line, line_no)
-        missing = [f for f in _COVERAGE_FIELDS if f not in record]
-        if missing:
-            raise IngestError(f"missing fields {missing}", line_no)
-        image_count = 0
-        if "image_count" in record:
-            image_count = _non_negative_int(record, "image_count", line_no)
-        day = _parse_day(record["day"], line_no)
-        start = _parse_timestamp(record["start"], line_no)
-        end = _parse_timestamp(record["end"], line_no)
-        try:
-            entry = DayCoverage(
-                wearer_id=str(record["wearer_id"]),
-                day=day,
-                start=start,
-                end=end,
-                image_count=image_count,
-            )
-        except ValueError as exc:
-            raise IngestError(str(exc), line_no) from None
+    for line_no, entry in _records(source, _COVERAGE_FIELDS, _coverage_entry):
         key = (entry.wearer_id, entry.day)
         if key in entries:
             raise IngestError(f"duplicate coverage entry for {key}", line_no)

@@ -20,13 +20,13 @@ from typing import Iterable
 from .clustering import Clustering
 from .ingest import (
     Dataset,
-    IngestError,
     LineSource,
-    _iter_lines,
+    _built,
     _non_negative_int,
     _parse_day,
     _parse_timestamp,
-    _record,
+    _records,
+    _strings,
 )
 
 
@@ -178,33 +178,24 @@ def serialize_interactions(interactions: Iterable[Interaction]) -> str:
 _INTERACTION_FIELDS = ("wearer_id", "person_cluster_id", "day", "start", "end", "observation_count")
 
 
+def _interaction(rec: dict, line_no: int) -> Interaction:
+    interaction = _built(  # checked in the order of the arguments
+        Interaction,
+        line_no,
+        day=_parse_day(rec["day"], line_no),
+        start=_parse_timestamp(rec["start"], line_no),
+        end=_parse_timestamp(rec["end"], line_no),
+        person_cluster_id=_non_negative_int(rec, "person_cluster_id", line_no),
+        observation_count=_non_negative_int(rec, "observation_count", line_no),
+        wearer_id=rec["wearer_id"],
+    )
+    _strings(rec, ("wearer_id",), line_no)
+    return interaction
+
+
 def parse_interactions(source: LineSource) -> tuple[Interaction, ...]:
     """Read the line format :func:`serialize_interactions` writes.
 
     ``source`` is the whole text or an open text file, read one line at a time.
     """
-    out = []
-    for line_no, line in _iter_lines(source):
-        rec = _record(line, line_no)
-        missing = [f for f in _INTERACTION_FIELDS if f not in rec]
-        if missing:
-            raise IngestError(f"missing fields {missing}", line_no)
-        day = _parse_day(rec["day"], line_no)
-        start = _parse_timestamp(rec["start"], line_no)
-        end = _parse_timestamp(rec["end"], line_no)
-        cluster_id = _non_negative_int(rec, "person_cluster_id", line_no)
-        count = _non_negative_int(rec, "observation_count", line_no)
-        try:
-            out.append(
-                Interaction(
-                    wearer_id=str(rec["wearer_id"]),
-                    person_cluster_id=cluster_id,
-                    day=day,
-                    start=start,
-                    end=end,
-                    observation_count=count,
-                )
-            )
-        except ValueError as exc:
-            raise IngestError(str(exc), line_no) from None
-    return tuple(out)
+    return tuple(entry for _, entry in _records(source, _INTERACTION_FIELDS, _interaction))

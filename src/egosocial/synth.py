@@ -325,14 +325,6 @@ def config_to_dict(config: SynthConfig) -> dict:
     }
 
 
-def load_config(text: str) -> SynthConfig:
-    try:
-        doc = json.loads(text)
-    except RecursionError:
-        raise SynthConfigError("malformed synth config: nested too deeply") from None
-    return config_from_dict(doc)
-
-
 def dump_config(config: SynthConfig) -> str:
     return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from datetime import date, datetime, time, timedelta, timezone
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from egosocial.ingest import Dataset, DayCoverage, FaceObservation
+from egosocial.ingest import Dataset, DayCoverage, FaceObservation, IngestError
 
 DAY = date(2024, 3, 4)
 
@@ -107,15 +108,17 @@ ODD_VALUES = (
 ODD_LINES = ("[1]", "3", "{", '"x"', "", "  ", "# c", '{"a": 1e999}', "nul", '{"a": 1,}')
 
 
+def odd_values():
+    """A JSON value a corrupted file may hold in place of a field's own."""
+    return st.one_of(st.sampled_from(ODD_VALUES), st.integers(), st.floats(), st.text(max_size=4))
+
+
 def line_edits(fields: tuple[str, ...]):
     """One to three edits of a file of JSON records: set or drop a field, replace a
     whole line, or copy one line over another, each at a line index taken modulo
     the line count."""
-    value = st.one_of(
-        st.sampled_from(ODD_VALUES), st.integers(), st.floats(), st.text(max_size=4)
-    )
     edit = st.one_of(
-        st.tuples(st.just("set"), st.sampled_from(fields), value),
+        st.tuples(st.just("set"), st.sampled_from(fields), odd_values()),
         st.tuples(st.just("drop"), st.sampled_from(fields), st.none()),
         st.tuples(st.just("replace"), st.sampled_from(ODD_LINES), st.none()),
         st.tuples(st.just("copy"), st.integers(0, 20), st.none()),
@@ -146,6 +149,31 @@ def edit_lines(lines: list[str], edits) -> list[str]:
                 record.pop(arg, None)
             lines[index] = json.dumps(record)
     return lines
+
+
+# Values that fault most fields of a record or, as "img-0", repeat its first line's key.
+PAIR_VALUES = (None, -1, "x", [], "img-0")
+
+
+def two_field_edits(lines: list[str], fields: tuple[str, ...]):
+    """``lines`` with two of ``fields`` on the second line set to each pair of
+    PAIR_VALUES, so that which of two faults a reader reports first shows."""
+    for pair in itertools.combinations(fields, 2):
+        for values in itertools.product(PAIR_VALUES, repeat=2):
+            yield edit_lines(lines, [(1, ("set", f, v)) for f, v in zip(pair, values)])
+
+
+def assert_read_as_the_oracle(read, fault, lines: list[str]) -> None:
+    """``read`` takes ``lines`` when the oracle ``fault`` finds no fault in them, and
+    otherwise rejects them with the oracle's line number and message."""
+    expected = fault(lines)
+    if expected is None:
+        read("\n".join(lines))
+        return
+    with pytest.raises(IngestError) as info:
+        read("\n".join(lines))
+    line_no, message = expected
+    assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
 
 
 def content_line_count(lines: list[str]) -> int:

@@ -310,6 +310,48 @@ def _content_lines(lines: list[str]):
             yield no, line.strip()
 
 
+def naive_observation_fault(lines: list[str]) -> tuple[int, str] | None:
+    """The line number and message of the first faulty observation line, checking each
+    line's rules in the order the reader applies them; None if all are valid."""
+    first_seen = {}
+    for no, line in _content_lines(lines):
+        record = _reject_record(line)
+        if isinstance(record, str):
+            return no, record
+        fields = ("wearer_id", "day", "timestamp", "image_id", "face_index", "descriptor")
+        missing = [k for k in fields if k not in record]
+        if missing:
+            return no, f"missing fields {missing}"
+        raw = record["descriptor"]
+        if not isinstance(raw, list) or len(raw) != 128:
+            got = len(raw) if isinstance(raw, list) else type(raw).__name__
+            return no, f"descriptor must be an array of 128 numbers, got {got}"
+        descriptor = naive_descriptor(raw)
+        if isinstance(descriptor, str):
+            return no, descriptor
+        face = record["face_index"]
+        if not _naive_count(face):
+            return no, f"face_index must be a non-negative integer, got {face!r}"
+        day = _naive_day(record["day"])
+        if isinstance(day, str):
+            return no, day
+        stamp = _naive_instant(record["timestamp"])
+        if isinstance(stamp, str):
+            return no, stamp
+        if stamp.date() != day:
+            return no, f"timestamp date {stamp.date()} does not match day {day}"
+        wearer, image = record["wearer_id"], record["image_id"]
+        if not isinstance(wearer, str) or not isinstance(image, str):
+            return no, "wearer_id and image_id must be strings"
+        if (wearer, image, face) in first_seen:
+            return no, (
+                f"duplicate (image_id, face_index) = ({image!r}, {face}) for wearer "
+                f"{wearer!r}, first seen on line {first_seen[wearer, image, face]}"
+            )
+        first_seen[wearer, image, face] = no
+    return None
+
+
 def naive_coverage_fault(lines: list[str]) -> tuple[int, str] | None:
     """The line number and message of the first faulty coverage line, checking each
     line's rules in the order the manifest format lists them; None if all are valid."""
@@ -334,7 +376,9 @@ def naive_coverage_fault(lines: list[str]) -> tuple[int, str] | None:
             return no, "coverage start must precede end"
         if start.date() != day or end.date() != day:
             return no, "coverage span must lie within its day"
-        key = (str(record["wearer_id"]), day)
+        if not isinstance(record["wearer_id"], str):
+            return no, "wearer_id must be a string"
+        key = (record["wearer_id"], day)
         if key in seen:
             return no, f"duplicate coverage entry for {key}"
         seen.add(key)
@@ -363,6 +407,8 @@ def naive_truth_fault(lines: list[str]) -> tuple[int, str] | None:
                 f"{wearer!r}, first seen on line {first_seen[wearer, image, face]}"
             )
         first_seen[wearer, image, face] = no
+        if not isinstance(record["label"], str):
+            return no, "label must be a string"
     return None
 
 
@@ -390,6 +436,8 @@ def naive_interactions_fault(lines: list[str]) -> tuple[int, str] | None:
             return no, "interaction start must not exceed end"
         if start.date() != day or end.date() != day:
             return no, "interaction must lie within its day"
+        if not isinstance(record["wearer_id"], str):
+            return no, "wearer_id must be a string"
     return None
 
 
@@ -429,6 +477,93 @@ def naive_clustering_fault(lines: list[str], dataset) -> tuple[int | None, str] 
             if key not in first_seen:
                 return None, f"clustering file lacks a record for {key}"
     return None
+
+
+# The JSON kinds each key of a one-document input takes, in the order of the
+# annotations they stand for: a float key also takes a JSON integer, and only a
+# bool key takes true or false.
+RUN_CONFIG_KINDS = {
+    "method": ("str",),
+    "metric": ("str",),
+    "cut_threshold": ("float",),
+    "normalize": ("bool",),
+    "bandwidth": ("float", "null"),
+    "k": ("int", "null"),
+    "affinity_scale": ("float", "null"),
+    "seed": ("int",),
+    "robust_mean": ("float",),
+    "reject_mean": ("float",),
+    "member_min": ("float",),
+    "min_event_min": ("float",),
+    "max_gap_min": ("float",),
+}
+TRAITS_KINDS = {
+    "wearer_id": ("str",),
+    "persons_per_day": ("float",),
+    "interactions_per_day": ("float",),
+    "minutes_per_interaction": ("float",),
+    "minutes_per_person": ("float",),
+    "minutes_alone_per_day": ("float",),
+    "days_analyzed": ("int",),
+    "no_interactions": ("bool",),
+}
+
+
+def _naive_kind_fault(name: str, value, kinds: tuple[str, ...]) -> str | None:
+    if isinstance(value, bool):
+        fits = "bool" in kinds
+    elif value is None:
+        fits = "null" in kinds
+    elif isinstance(value, int):
+        fits = "int" in kinds or "float" in kinds
+    elif isinstance(value, float):
+        fits = "float" in kinds
+    elif isinstance(value, str):
+        fits = "str" in kinds
+    else:
+        fits = isinstance(value, dict) and "dict" in kinds
+    return None if fits else f"{name} must be {' or '.join(kinds)}, got {value!r}"
+
+
+def naive_config_fault(doc: dict) -> str | None:
+    """The message that rejects a --config document, checking its keys in file order;
+    None if every key is a run parameter and every value has its kind."""
+    for key, value in doc.items():
+        if key not in RUN_CONFIG_KINDS:
+            return f"unknown config key {key!r}"
+        fault = _naive_kind_fault(f"config key {key!r}", value, RUN_CONFIG_KINDS[key])
+        if fault:
+            return fault
+    return None
+
+
+def naive_traits_fault(doc, path) -> str | None:
+    """The message that rejects a traits report read from ``path``: its record list,
+    each record's keys in field order, then its provenance; None if it is valid.
+    Every key but ``no_interactions`` is required."""
+    records = doc.get("wearers") if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        return f"traits file {path} lacks key 'wearers' (a list of records)"
+    for i, record in enumerate(records):
+        where = f"traits file {path}: wearers[{i}]"
+        if not isinstance(record, dict):
+            return f"{where} must be a JSON object"
+        for key, kinds in TRAITS_KINDS.items():
+            if key not in record:
+                if key != "no_interactions":
+                    return f"{where} lacks key {key!r}"
+                continue
+            fault = _naive_kind_fault(f"{where}: key {key!r}", record[key], kinds)
+            if fault:
+                return fault
+    provenance = doc.get("provenance", {})
+    fault = _naive_kind_fault(f"traits file {path}: key 'provenance'", provenance, ("dict",))
+    if fault:
+        return fault
+    fingerprint = provenance.get("fingerprint", "unspecified")
+    return _naive_kind_fault(
+        f"traits file {path}: key 'provenance.fingerprint'", fingerprint, ("str",)
+    )
 
 
 def naive_wearers(dataset) -> tuple[str, ...]:

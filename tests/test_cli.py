@@ -15,12 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import egosocial
-from conftest import dataset_from_matrix
+from conftest import dataset_from_matrix, odd_values
 from egosocial import cli, clustering, ingest
 from egosocial.cli import main
 from egosocial.ingest import serialize_observations
+from oracles import RUN_CONFIG_KINDS, TRAITS_KINDS, naive_config_fault, naive_traits_fault
 from egosocial.synth import (
     ScheduledInteraction,
     SynthConfig,
@@ -683,6 +686,110 @@ def test_deeply_nested_document_rejected(tmp_path, synth_dir, capsys, command, m
     err = capsys.readouterr().err
     assert rc == 2
     assert err == f"error: {message.format(**where)}\n"
+
+
+def test_deeply_nested_clustering_header_rejected(tmp_path, synth_dir, capsys):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text(clustering.CLUSTERING_HEADER + "[" * 100_000 + "\n")
+    obs = str(synth_dir / "observations.jsonl")
+    capsys.readouterr()
+    rc = main(["segment", "--obs", obs, "--clustering", str(deep), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error: line 1: malformed clustering header: nested too deeply"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["pipeline", "--obs", "{obs}", "--config", "{doc}"], "malformed config {doc}"),
+        (["render", "--traits", "{doc}"], "malformed traits file {doc}"),
+        (["synth", "--config", "{doc}"], "malformed synth config"),
+        (["segment", "--obs", "{obs}", "--clustering", "{header}"], "malformed clustering header"),
+    ],
+    ids=["pipeline-config", "render-traits", "synth-config", "clustering-header"],
+)
+def test_malformed_document_rejected_with_its_line(tmp_path, synth_dir, capsys, command, message):
+    doc = tmp_path / "bad.json"
+    doc.write_text('{"seed":\n}\n')
+    header = tmp_path / "bad-header.jsonl"
+    header.write_text("\n" + clustering.CLUSTERING_HEADER + '{"u1": }\n')
+    where = {"obs": synth_dir / "observations.jsonl", "doc": doc, "header": header}
+    argv = [arg.format(**where) for arg in command] + ["--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: line 2: {message.format(**where)}: Expecting value"
+
+
+_RUN_CONFIG = {"method": "ahc", "cut_threshold": 0.5, "k": None, "normalize": True, "seed": 3}
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(key=st.sampled_from([*RUN_CONFIG_KINDS, "nonsense"]), value=odd_values())
+def test_config_reader_rejects_as_the_oracle(tmp_path, key, value):
+    doc = dict(_RUN_CONFIG, **{key: value})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    expected = naive_config_fault(doc)
+    if expected is None:
+        assert json.dumps(cli._read_config_overrides(path)) == json.dumps(doc)
+        return
+    with pytest.raises(ValueError) as info:
+        cli._read_config_overrides(path)
+    assert str(info.value) == expected
+
+
+_TRAITS_RECORD = {
+    "wearer_id": "u1",
+    "persons_per_day": 2.0,
+    "interactions_per_day": 3.0,
+    "minutes_per_interaction": 12.5,
+    "minutes_per_person": 18.75,
+    "minutes_alone_per_day": 480.0,
+    "days_analyzed": 2,
+    "no_interactions": False,
+}
+_TRAITS_DOC = {
+    "provenance": {"fingerprint": "f"},
+    "wearers": [_TRAITS_RECORD, {k: v for k, v in _TRAITS_RECORD.items() if k != "no_interactions"}],
+}
+# Where a corrupted traits report may hold an odd value: a key of either record,
+# the provenance, its fingerprint, or the record list itself.
+_TRAITS_KEYS = [
+    *(("wearers", i, key) for i in range(2) for key in TRAITS_KINDS),
+    ("provenance",),
+    ("provenance", "fingerprint"),
+    ("wearers",),
+]
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(at=st.sampled_from(_TRAITS_KEYS), value=odd_values())
+def test_traits_reader_rejects_as_the_oracle(tmp_path, at, value):
+    doc = json.loads(json.dumps(_TRAITS_DOC))
+    *parents, key = at
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    path = tmp_path / "traits.json"
+    path.write_text(json.dumps(doc))
+    expected = naive_traits_fault(doc, path)
+    if expected is None:
+        traits, _ = cli._read_traits(path)
+        assert len(traits) == len(doc["wearers"])
+        return
+    with pytest.raises(ValueError) as info:
+        cli._read_traits(path)
+    assert str(info.value) == expected
 
 
 def test_defaults_announced_on_stderr(synth_dir, tmp_path, capsys):

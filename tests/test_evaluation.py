@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import content_line_count, dataset_from_matrix, edit_lines, line_edits
+from conftest import (
+    assert_read_as_the_oracle,
+    content_line_count,
+    dataset_from_matrix,
+    edit_lines,
+    line_edits,
+    two_field_edits,
+)
 from egosocial.clustering import (
     AhcParams,
     MeanShiftParams,
@@ -265,3 +272,16 @@ def test_truth_reader_rejects_as_the_line_by_line_oracle(edits):
         parse_ground_truth("\n".join(lines))
     line_no, message = expected
     assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+@pytest.mark.parametrize("value", [None, 7, True, [1, 2]], ids=["null", "int", "bool", "list"])
+def test_truth_label_must_be_a_string(value):
+    lines = edit_lines(_TRUTH_LINES, [(1, ("set", "label", value))])
+    with pytest.raises(IngestError) as info:
+        parse_ground_truth("\n".join(lines))
+    assert (str(info.value), info.value.line_no) == ("line 2: label must be a string", 2)
+
+
+def test_truth_reader_rejects_two_faults_on_a_line_as_the_oracle():
+    for lines in two_field_edits(_TRUTH_LINES, ("wearer_id", "image_id", "face_index", "label")):
+        assert_read_as_the_oracle(parse_ground_truth, naive_truth_fault, lines)

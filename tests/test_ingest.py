@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     DAY,
+    assert_read_as_the_oracle,
     at,
     content_line_count,
     dataset_from_matrix,
     edit_lines,
     line_edits,
+    two_field_edits,
     observations_from_matrix,
 )
 from egosocial import ingest
@@ -34,7 +36,13 @@ from egosocial.ingest import (
     serialize_observations,
     slice_dataset,
 )
-from oracles import naive_coverage_fault, naive_descriptor, naive_slice, naive_wearers
+from oracles import (
+    naive_coverage_fault,
+    naive_descriptor,
+    naive_observation_fault,
+    naive_slice,
+    naive_wearers,
+)
 
 
 def obs_line(
@@ -373,6 +381,69 @@ def test_coverage_reader_rejects_as_the_line_by_line_oracle(edits):
         parse_coverage("\n".join(lines))
     line_no, message = expected
     assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+_OBSERVATION_FIELDS = ("wearer_id", "day", "timestamp", "image_id", "face_index", "descriptor")
+
+
+_OBSERVATION_LINES = [
+    obs_line(
+        wearer=wearer,
+        timestamp=f"2024-03-04T09:0{i}:00+00:00",
+        image_id=f"img-{i}",
+        descriptor=[float(i)] * 128,
+    )
+    for wearer in ("u1", "u2")
+    for i in range(2)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=line_edits(_OBSERVATION_FIELDS))
+def test_observation_reader_rejects_as_the_line_by_line_oracle(edits):
+    lines = edit_lines(_OBSERVATION_LINES, edits)
+    expected = naive_observation_fault(lines)
+    if expected is None:
+        assert len(parse_observations("\n".join(lines))) == content_line_count(lines)
+        return
+    with pytest.raises(IngestError) as info:
+        parse_observations("\n".join(lines))
+    line_no, message = expected
+    assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+def test_observation_reader_rejects_two_faults_on_a_line_as_the_oracle():
+    for lines in two_field_edits(_OBSERVATION_LINES, _OBSERVATION_FIELDS):
+        assert_read_as_the_oracle(parse_observations, naive_observation_fault, lines)
+
+
+def test_coverage_reader_rejects_two_faults_on_a_line_as_the_oracle():
+    fields = ("wearer_id", "day", "start", "end", "image_count")
+    for lines in two_field_edits(_COVERAGE_LINES, fields):
+        assert_read_as_the_oracle(parse_coverage, naive_coverage_fault, lines)
+
+
+_IDENTIFIER_VALUES = pytest.mark.parametrize(
+    "value", [None, 7, True, [1, 2]], ids=["null", "int", "bool", "list"]
+)
+
+
+@_IDENTIFIER_VALUES
+def test_coverage_wearer_id_must_be_a_string(value):
+    lines = edit_lines(_COVERAGE_LINES, [(1, ("set", "wearer_id", value))])
+    with pytest.raises(IngestError) as info:
+        parse_coverage("\n".join(lines))
+    assert (str(info.value), info.value.line_no) == ("line 2: wearer_id must be a string", 2)
+
+
+@_IDENTIFIER_VALUES
+@pytest.mark.parametrize("field", ["wearer_id", "image_id"])
+def test_observation_identifiers_must_be_strings(field, value):
+    lines = edit_lines(_OBSERVATION_LINES, [(1, ("set", field, value))])
+    with pytest.raises(IngestError) as info:
+        parse_observations("\n".join(lines))
+    message = "line 2: wearer_id and image_id must be strings"
+    assert (str(info.value), info.value.line_no) == (message, 2)
 
 
 def _observation(wearer: str, day: date, hour: int, image_id: str) -> FaceObservation:

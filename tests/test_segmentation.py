@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import DAY, at, content_line_count, edit_lines, line_edits, observations_from_matrix
+from conftest import (
+    DAY,
+    assert_read_as_the_oracle,
+    at,
+    content_line_count,
+    edit_lines,
+    line_edits,
+    observations_from_matrix,
+    two_field_edits,
+)
 from egosocial.clustering import clustering_from_clusters
 from egosocial.ingest import Dataset, FaceObservation, IngestError
 from egosocial.segmentation import (
@@ -247,6 +256,9 @@ def test_serialization_round_trip():
     assert parse_interactions(text) == events
 
 
+_INTERACTION_FIELDS = ("wearer_id", "person_cluster_id", "day", "start", "end", "observation_count")
+
+
 _NEXT_DAY = DAY + timedelta(days=1)
 _INTERACTION_LINES = serialize_interactions(
     [
@@ -274,6 +286,19 @@ def test_interactions_reader_rejects_as_the_line_by_line_oracle(edits):
         parse_interactions("\n".join(lines))
     line_no, message = expected
     assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)
+
+
+def test_interactions_reader_rejects_two_faults_on_a_line_as_the_oracle():
+    for lines in two_field_edits(_INTERACTION_LINES, _INTERACTION_FIELDS):
+        assert_read_as_the_oracle(parse_interactions, naive_interactions_fault, lines)
+
+
+@pytest.mark.parametrize("value", [None, 7, True, [1, 2]], ids=["null", "int", "bool", "list"])
+def test_interaction_wearer_id_must_be_a_string(value):
+    lines = edit_lines(_INTERACTION_LINES, [(1, ("set", "wearer_id", value))])
+    with pytest.raises(IngestError) as info:
+        parse_interactions("\n".join(lines))
+    assert (str(info.value), info.value.line_no) == ("line 2: wearer_id must be a string", 2)
 
 
 @pytest.mark.parametrize(
