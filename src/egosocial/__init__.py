@@ -33,8 +33,6 @@ from .consistency import (
     ConsistencyReport,
     ConsistencyThresholds,
     apply_consistency,
-    cluster_mean_correlation,
-    pearson,
 )
 from .evaluation import (
     EvalReport,
@@ -91,7 +89,6 @@ __all__ = [
     "build_profiles",
     "cluster",
     "cluster_ahc",
-    "cluster_mean_correlation",
     "compute_distances",
     "compute_traits",
     "daily_interaction_timeline",
@@ -103,7 +100,6 @@ __all__ = [
     "pairwise_prf",
     "parse_coverage",
     "parse_observations",
-    "pearson",
     "render_radar",
     "render_table",
     "segment",

@@ -329,7 +329,7 @@ def compute_distances(
     euclidean: L2 distance, after optional per-vector L2 normalization.
     cosine: 1 - cosine similarity.
     correlation: 1 - Pearson correlation (consistent with
-        :func:`egosocial.consistency.pearson`).
+        :func:`egosocial.consistency.pairwise_pearson_matrix`).
 
     Zero vectors under cosine, constant vectors under correlation, and zero
     vectors under normalization raise :class:`DegenerateVectorError` naming
@@ -538,6 +538,24 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     cross-component value is at least ``cut * (1 + kappa) * (1 - u)^(3n-1)``,
     which is above ``cut`` for ``kappa = 4 * n * u`` (then
     ``kappa * (1 - 3nu) > 3nu`` for every n < 2**49).
+
+    The same rounding care closes a component without the loop. If the
+    largest entry M of a component's submatrix is at most the computed
+    ``cut * (1 - kappa)``, the component ends as one cluster, and it is
+    appended whole. Every Lance-Williams value is a weighted mean of two
+    values, each a weighted mean of entries <= M, rounded 3 times per
+    merge: a product or sum that lands below 2**-1022 is exact, and a
+    quotient that does is at most 2**-1022. So after k merges every value
+    is at most ``max(M, 2**-1022) * (1 + u)^(3k)``. A component of m <= n
+    rows takes at most m - 1 merges, and the threshold rounds twice, so
+    every value stays at most ``cut * (1 - kappa) * (1 + u)^(3n - 1)``,
+    which is at most ``cut`` because ``(1 + u)^k <= 1 / (1 - k*u)``, and
+    ``2**-1022 * (1 + u)^(3n) <= cut`` for ``cut >= 2**-1000``. Every
+    product stays at most ``n * cut``, finite for ``cut <= 2**1000 / n``.
+    Within that range of cuts the stop test never fires, and
+    :func:`clustering_from_clusters` canonicalises the members; outside
+    it, no component is closed this way. The margin is needed: distances
+    an ulp or two below the cut can split a component by rounding.
     """
     _check_distance_matrix(dist)
     if params.metric != dist.metric_tag:
@@ -551,12 +569,17 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     params_used = {"method": "ahc", **vars(params)}
     cut = params.cut_threshold
     kappa = 4.0 * n * 2.0**-53
+    tight = cut * (1.0 - kappa) if 2.0**-1000 <= cut <= 2.0**1000 / n else -1.0
     final: list[list[int]] = []
     for comp in _cut_components(dist.entries, cut * (1.0 + kappa)):
         if comp.size == 1:
             final.append([int(comp[0])])
             continue
-        for local in _merge_loop(dist.entries[np.ix_(comp, comp)], cut):
+        sub = dist.entries[np.ix_(comp, comp)]
+        if sub.max() <= tight:
+            final.append(comp.tolist())
+            continue
+        for local in _merge_loop(sub, cut):
             final.append(comp[local].tolist())
     final.sort(key=min)
     return clustering_from_clusters(final, n, "ahc", params_used)

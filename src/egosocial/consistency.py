@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -60,10 +59,6 @@ STATUS_ROBUST = "robust"
 STATUS_PRUNED = "pruned"
 STATUS_REJECTED = "rejected"
 STATUS_SINGLETON = "singleton"
-
-
-class UndefinedCorrelationError(ValueError):
-    """Pearson correlation is undefined (constant input, zero variance)."""
 
 
 @dataclass(frozen=True)
@@ -122,41 +117,11 @@ class ConsistencyReport:
         }
 
 
-def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Pearson correlation coefficient of two equal-length samples.
-
-    Computed in the mean-centered form (algebraically identical to the
-    raw-moment form but stable), clamped to [-1, 1] against floating-point
-    overshoot. Raises :class:`UndefinedCorrelationError` when either
-    sample is constant.
-    """
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or yv.ndim != 1 or xv.size != yv.size:
-        raise ValueError("inputs must be 1-D vectors of equal length")
-    n = xv.size
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for constant input")
-    # sqrt of the product (not the product of sqrts) keeps the identity and
-    # anti-identity cases exactly at +/-1.
-    den = math.sqrt(sxx * syy)
-    if not math.isfinite(den):
-        den = math.sqrt(sxx) * math.sqrt(syy)
-    r = float(xc @ yc) / den
-    return max(-1.0, min(1.0, r))
-
-
 def pairwise_pearson_matrix(vectors: np.ndarray) -> np.ndarray:
     """All-pairs Pearson matrix; NaN where a pair is undefined (and on the diagonal).
 
-    Consistent with :func:`pearson` to floating-point noise; vectorized for
-    whole-cluster scoring.
+    Each entry is the mean-centered Pearson correlation of two rows, clamped
+    to [-1, 1]; vectorized for whole-cluster scoring.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
@@ -176,26 +141,6 @@ def pairwise_pearson_matrix(vectors: np.ndarray) -> np.ndarray:
         R[np.ix_(idx, idx)] = sub
     np.fill_diagonal(R, np.nan)
     return R
-
-
-def cluster_mean_correlation(members: Sequence[np.ndarray] | np.ndarray) -> float | None:
-    """Mean Pearson correlation over all unordered member pairs.
-
-    Undefined pairs (constant descriptors) are excluded; returns None for
-    singletons or when no valid pair remains.
-    """
-    X = np.asarray(members, dtype=np.float64)
-    if X.ndim != 2:
-        X = np.atleast_2d(X)
-    m = X.shape[0]
-    if m < 2:
-        return None
-    R = pairwise_pearson_matrix(X)
-    vals = R[np.triu_indices(m, k=1)]
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        return None
-    return float(vals.mean())
 
 
 def _mean_to_rest(R: np.ndarray, current: list[int], pos: int) -> float:

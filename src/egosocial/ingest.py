@@ -59,6 +59,7 @@ import pickle
 import re
 import signal
 import stat
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -296,15 +297,30 @@ def _iter_lines(source: LineSource) -> Generator[tuple[int, str], None, int]:
     return no
 
 
+# A JSON string, or a JSON number with its integer digits, fraction and exponent.
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
+
+
+def _long_integer_line(text: str) -> int | None:
+    """The line of the first JSON integer in ``text`` with more digits than the
+    interpreter converts, which is the one the decoder stops at."""
+    limit = sys.get_int_max_str_digits()
+    for token in _STRING_OR_NUMBER.finditer(text):
+        digits, fraction, exponent = token.groups()
+        if digits and fraction is None and exponent is None and len(digits) > limit:
+            return text.count("\n", 0, token.start()) + 1
+    return None
+
+
 def _decode(text: str, what: str, line_no: int | None = None) -> object:
     """The JSON value of ``text``; any fault is ``malformed {what}: ...`` at ``line_no``,
-    or, for a syntax error in a whole document, at the line the decoder names."""
+    or, in a whole document, at the line of a syntax error or of a too-long integer."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise IngestError(f"malformed {what}: {exc.msg}", line_no or exc.lineno) from None
     except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise IngestError(f"malformed {what}: {exc}", line_no) from None
+        raise IngestError(f"malformed {what}: {exc}", line_no or _long_integer_line(text)) from None
     except RecursionError:
         raise IngestError(f"malformed {what}: nested too deeply", line_no) from None
 

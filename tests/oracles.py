@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (double loops, full enumerations,
 high-precision arithmetic) and shares no code with the package, so a bug
-cannot hide in both paths at once.
+cannot hide in both paths at once. The one exception is
+:func:`cluster_mean_correlation`, a test helper over the package's Pearson
+matrix.
 """
 
 from __future__ import annotations
@@ -10,10 +12,14 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from datetime import date, datetime, timedelta
+from typing import Sequence
 
 import numpy as np
 from mpmath import mp, mpf
+
+from egosocial.consistency import pairwise_pearson_matrix
 
 
 def pearson_highprec(x, y, dps: int = 50) -> float:
@@ -34,6 +40,62 @@ def pearson_highprec(x, y, dps: int = 50) -> float:
         return float(num / den)
     finally:
         mp.dps = old
+
+
+class UndefinedCorrelationError(ValueError):
+    """Pearson correlation is undefined (constant input, zero variance)."""
+
+
+def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
+    """Pearson correlation coefficient of two equal-length samples.
+
+    Computed in the mean-centered form (algebraically identical to the
+    raw-moment form but stable), clamped to [-1, 1] against floating-point
+    overshoot. Raises :class:`UndefinedCorrelationError` when either
+    sample is constant.
+    """
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if xv.ndim != 1 or yv.ndim != 1 or xv.size != yv.size:
+        raise ValueError("inputs must be 1-D vectors of equal length")
+    n = xv.size
+    if n < 2:
+        raise ValueError("need at least 2 samples")
+    xc = xv - xv.mean()
+    yc = yv - yv.mean()
+    sxx = float(xc @ xc)
+    syy = float(yc @ yc)
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("correlation undefined for constant input")
+    # sqrt of the product (not the product of sqrts) keeps the identity and
+    # anti-identity cases exactly at +/-1.
+    den = math.sqrt(sxx * syy)
+    if not math.isfinite(den):
+        den = math.sqrt(sxx) * math.sqrt(syy)
+    r = float(xc @ yc) / den
+    return max(-1.0, min(1.0, r))
+
+
+def cluster_mean_correlation(members: Sequence[np.ndarray] | np.ndarray) -> float | None:
+    """Mean Pearson correlation over all unordered member pairs.
+
+    Undefined pairs (constant descriptors) are excluded; returns None for
+    singletons or when no valid pair remains. It averages the package's
+    ``pairwise_pearson_matrix``, so tests can check that matrix against
+    :func:`pearson` and set up clusters in a chosen correlation band.
+    """
+    X = np.asarray(members, dtype=np.float64)
+    if X.ndim != 2:
+        X = np.atleast_2d(X)
+    m = X.shape[0]
+    if m < 2:
+        return None
+    R = pairwise_pearson_matrix(X)
+    vals = R[np.triu_indices(m, k=1)]
+    vals = vals[np.isfinite(vals)]
+    if vals.size == 0:
+        return None
+    return float(vals.mean())
 
 
 def distance_double_loop(X: np.ndarray, metric: str) -> np.ndarray:
@@ -523,6 +585,39 @@ def _naive_kind_fault(name: str, value, kinds: tuple[str, ...]) -> str | None:
     else:
         fits = isinstance(value, dict) and "dict" in kinds
     return None if fits else f"{name} must be {' or '.join(kinds)}, got {value!r}"
+
+
+def naive_document_fault(text: str, what: str) -> str | None:
+    """The message that rejects a JSON document before any of its keys is read: an
+    integer with more digits than the interpreter converts, named by its line; None
+    if there is none. Reads character by character, skipping strings and the digits
+    of every number with a fraction or an exponent."""
+    limit = sys.get_int_max_str_digits()
+    line, i = 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == '"':
+            i += 1
+            while text[i] != '"':
+                i += 2 if text[i] == "\\" else 1
+        elif c == "\n":
+            line += 1
+        elif c.isascii() and c.isdigit():
+            j = i
+            while j < len(text) and text[j].isascii() and text[j].isdigit():
+                j += 1
+            if j < len(text) and text[j] in ".eE":
+                while j < len(text) and (text[j].isdigit() or text[j] in ".eE+-"):
+                    j += 1
+            elif j - i > limit:
+                try:
+                    int(text[i:j])
+                except ValueError as exc:
+                    return f"line {line}: malformed {what}: {exc}"
+            i = j
+            continue
+        i += 1
+    return None
 
 
 def naive_config_fault(doc: dict) -> str | None:

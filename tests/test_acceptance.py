@@ -34,8 +34,6 @@ from egosocial.consistency import (
     STATUS_REJECTED,
     STATUS_ROBUST,
     apply_consistency,
-    cluster_mean_correlation,
-    pearson,
 )
 from egosocial.evaluation import GroundTruth, pairwise_prf
 from egosocial.ingest import Dataset, FaceObservation
@@ -51,10 +49,12 @@ from egosocial.synth import ScheduledInteraction, SynthConfig, config_to_dict, g
 import conftest
 from conftest import at, dataset_from_matrix, pad128
 from oracles import (
+    cluster_mean_correlation,
     naive_average_linkage,
     parse_radar,
     parse_rendered_table,
     partition_of,
+    pearson,
     pearson_highprec,
     prf_pair_loop,
 )

@@ -23,7 +23,13 @@ from conftest import dataset_from_matrix, odd_values
 from egosocial import cli, clustering, ingest
 from egosocial.cli import main
 from egosocial.ingest import serialize_observations
-from oracles import RUN_CONFIG_KINDS, TRAITS_KINDS, naive_config_fault, naive_traits_fault
+from oracles import (
+    RUN_CONFIG_KINDS,
+    TRAITS_KINDS,
+    naive_config_fault,
+    naive_document_fault,
+    naive_traits_fault,
+)
 from egosocial.synth import (
     ScheduledInteraction,
     SynthConfig,
@@ -688,6 +694,32 @@ def test_deeply_nested_document_rejected(tmp_path, synth_dir, capsys, command, m
     assert err == f"error: {message.format(**where)}\n"
 
 
+@pytest.mark.parametrize(
+    "command, what",
+    [
+        (["pipeline", "--obs", "{obs}", "--config", "{doc}"], "config {doc}"),
+        (["render", "--traits", "{doc}"], "traits file {doc}"),
+        (["synth", "--config", "{doc}"], "synth config"),
+    ],
+    ids=["pipeline-config", "render-traits", "synth-config"],
+)
+def test_too_long_integer_in_document_rejected_with_its_line(
+    tmp_path, synth_dir, capsys, command, what
+):
+    # The decoder itself rejects an integer past the interpreter's digit
+    # limit (4,300 digits from Python 3.11); a float's digits pass.
+    doc = tmp_path / "long.json"
+    doc.write_text('{"seed": 1.' + "5" * 5000 + ',\n "n_days":\n  ' + "1" * 5001 + "\n}\n")
+    where = {"obs": synth_dir / "observations.jsonl", "doc": doc}
+    argv = [arg.format(**where) for arg in command] + ["--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith(f"error: line 3: malformed {what.format(**where)}: Exceeds the limit")
+
+
 def test_deeply_nested_clustering_header_rejected(tmp_path, synth_dir, capsys):
     deep = tmp_path / "deep.jsonl"
     deep.write_text(clustering.CLUSTERING_HEADER + "[" * 100_000 + "\n")
@@ -727,16 +759,33 @@ def test_malformed_document_rejected_with_its_line(tmp_path, synth_dir, capsys, 
 
 _RUN_CONFIG = {"method": "ahc", "cut_threshold": 0.5, "k": None, "normalize": True, "seed": 3}
 
+# Stands for an integer with more digits than the interpreter converts, which
+# json.dumps cannot write; _dumped writes it.
+_TOO_LONG = "\x00too long"
+
+
+def _dumped(doc) -> str:
+    """``doc`` as JSON, one key to a line, with each _TOO_LONG made such an integer."""
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    return json.dumps(doc, indent=1).replace(json.dumps(_TOO_LONG), digits)
+
+
+def _corrupt_values():
+    return st.one_of(odd_values(), st.just(_TOO_LONG))
+
 
 @settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(key=st.sampled_from([*RUN_CONFIG_KINDS, "nonsense"]), value=odd_values())
+@given(key=st.sampled_from([*RUN_CONFIG_KINDS, "nonsense"]), value=_corrupt_values())
 def test_config_reader_rejects_as_the_oracle(tmp_path, key, value):
-    doc = dict(_RUN_CONFIG, **{key: value})
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(doc))
-    expected = naive_config_fault(doc)
+    text = _dumped(dict(_RUN_CONFIG, **{key: value}))
+    path.write_text(text)
+    expected = naive_document_fault(text, f"config {path}")
+    if expected is None:
+        doc = json.loads(text)
+        expected = naive_config_fault(doc)
     if expected is None:
         assert json.dumps(cli._read_config_overrides(path)) == json.dumps(doc)
         return
@@ -772,7 +821,7 @@ _TRAITS_KEYS = [
 @settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(at=st.sampled_from(_TRAITS_KEYS), value=odd_values())
+@given(at=st.sampled_from(_TRAITS_KEYS), value=_corrupt_values())
 def test_traits_reader_rejects_as_the_oracle(tmp_path, at, value):
     doc = json.loads(json.dumps(_TRAITS_DOC))
     *parents, key = at
@@ -781,8 +830,12 @@ def test_traits_reader_rejects_as_the_oracle(tmp_path, at, value):
         target = target[parent]
     target[key] = value
     path = tmp_path / "traits.json"
-    path.write_text(json.dumps(doc))
-    expected = naive_traits_fault(doc, path)
+    text = _dumped(doc)
+    path.write_text(text)
+    expected = naive_document_fault(text, f"traits file {path}")
+    if expected is None:
+        doc = json.loads(text)
+        expected = naive_traits_fault(doc, path)
     if expected is None:
         traits, _ = cli._read_traits(path)
         assert len(traits) == len(doc["wearers"])

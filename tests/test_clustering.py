@@ -35,7 +35,6 @@ from egosocial.clustering import (
     spectral,
     validate_clustering,
 )
-from egosocial.consistency import pearson
 from egosocial.ingest import Dataset, IngestError
 from oracles import (
     distance_double_loop,
@@ -43,6 +42,7 @@ from oracles import (
     naive_average_linkage,
     naive_clustering_fault,
     partition_of,
+    pearson,
 )
 
 
@@ -273,6 +273,110 @@ def test_rounding_merges_one_ulp_above_cut_match_whole_matrix_loop(rng):
         assert partition_of(ours) == lance_williams_linkage(D, cut)
         crossed += any(len(set(groups[list(c)])) > 1 for c in ours.clusters)
     assert crossed > 0
+
+
+def _counting_merge_loop(monkeypatch) -> list[int]:
+    """Record the row count of every matrix `_merge_loop` is called on."""
+    sizes: list[int] = []
+    loop = clustering_module._merge_loop
+
+    def counted(D, cut):
+        sizes.append(len(D))
+        return loop(D, cut)
+
+    monkeypatch.setattr(clustering_module, "_merge_loop", counted)
+    return sizes
+
+
+def _tight(cut, n):
+    """The largest component maximum that ahc_average_linkage closes without its loop."""
+    return cut * (1.0 - 4.0 * n * 2.0**-53)
+
+
+def test_cliques_ulps_below_cut_that_split_by_rounding_run_the_loop(rng, monkeypatch):
+    # Every distance is 0-2 ulps below the cut, yet a rounded Lance-Williams
+    # average can land above it and split the clique: only a margin below
+    # the cut makes one cluster certain.
+    loops = _counting_merge_loop(monkeypatch)
+    split = 0
+    for _ in range(400):
+        cut = float(rng.uniform(0.5, 2.0))
+        n = int(rng.integers(4, 12))
+        D = np.triu(cut - rng.integers(0, 3, size=(n, n)) * np.spacing(cut), 1)
+        D += D.T
+        del loops[:]
+        ours = ahc_average_linkage(
+            DistanceMatrix(entries=D, metric_tag="euclidean"), _euclid_params(cut)
+        )
+        assert partition_of(ours) == lance_williams_linkage(D, cut)
+        assert loops == [n]
+        split += ours.n_clusters > 1
+    assert split > 0
+
+
+def _component(rng, kind):
+    """A clique's distances scaled so that the largest is exactly 1.0."""
+    m = int(rng.integers(2, 9))
+    if kind == "lattice":  # exact ties, and duplicates where coordinates meet
+        coords = rng.integers(0, 4, size=m)
+        coords[:2] = 0, 3
+        return np.abs(coords[:, None] - coords[None, :]) / 3.0
+    if kind == "duplicates":
+        base = rng.standard_normal((int(rng.integers(2, m + 1)), 128))
+        X = base[np.concatenate([[0, 1], rng.integers(0, len(base), size=m - 2)])]
+        L = compute_distances(X, metric="euclidean", normalize=False).entries
+    else:
+        L = np.triu(rng.uniform(0.2, 1.0, size=(m, m)), 1)
+        L += L.T
+    return L / L.max()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])
+def test_components_at_and_one_ulp_above_the_margin_match_whole_matrix_loop(
+    rng, monkeypatch, kind
+):
+    # A component whose largest distance is the rounded cut * (1 - kappa)
+    # is closed as one cluster without the merge loop; one ulp above it, the
+    # loop runs. Either way the partition is the whole-matrix loop's.
+    loops = _counting_merge_loop(monkeypatch)
+    for _ in range(60):
+        cut = float(rng.uniform(0.5, 2.0))
+        parts = [_component(rng, kind) for _ in range(int(rng.integers(1, 5)))]
+        above = rng.integers(0, 2, size=len(parts)).astype(bool)
+        n = sum(len(P) for P in parts)
+        tight = _tight(cut, n)
+        D = np.full((n, n), 3.0 * cut)
+        owner = np.repeat(np.arange(len(parts)), [len(P) for P in parts])
+        for c, (P, over) in enumerate(zip(parts, above)):
+            rows = np.flatnonzero(owner == c)
+            D[np.ix_(rows, rows)] = P * (np.nextafter(tight, np.inf) if over else tight)
+        order = rng.permutation(n)
+        D, owner = D[np.ix_(order, order)], owner[order]
+
+        del loops[:]
+        ours = ahc_average_linkage(
+            DistanceMatrix(entries=D, metric_tag="euclidean"), _euclid_params(cut)
+        )
+        assert partition_of(ours) == lance_williams_linkage(D, cut)
+        assert sorted(loops) == sorted(len(P) for P, over in zip(parts, above) if over)
+        for c in np.flatnonzero(~above):
+            assert frozenset(np.flatnonzero(owner == c).tolist()) in partition_of(ours)
+
+
+@pytest.mark.parametrize("cut, top", [(1.7e308, 1e308), (1e-310, 5e-311)])
+def test_components_near_overflow_or_underflow_run_the_loop(monkeypatch, cut, top):
+    # Near the top of the float range a Lance-Williams product overflows to
+    # inf and stops the loop; near the bottom rounding is not relative. In
+    # neither range is a component closed without the loop.
+    loops = _counting_merge_loop(monkeypatch)
+    D = np.full((3, 3), top)
+    np.fill_diagonal(D, 0.0)
+    with np.errstate(over="ignore"):
+        ours = ahc_average_linkage(
+            DistanceMatrix(entries=D, metric_tag="euclidean"), _euclid_params(cut)
+        )
+        assert partition_of(ours) == lance_williams_linkage(D, cut)
+    assert loops == [3]
 
 
 def test_permutation_invariance(rng):

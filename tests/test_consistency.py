@@ -18,13 +18,16 @@ from egosocial.consistency import (
     STATUS_ROBUST,
     STATUS_SINGLETON,
     ConsistencyThresholds,
-    UndefinedCorrelationError,
     apply_consistency,
-    cluster_mean_correlation,
     pairwise_pearson_matrix,
-    pearson,
 )
-from oracles import naive_prune, pearson_highprec
+from oracles import (
+    UndefinedCorrelationError,
+    cluster_mean_correlation,
+    naive_prune,
+    pearson,
+    pearson_highprec,
+)
 
 
 # --- pearson -----------------------------------------------------------------
