@@ -11,7 +11,6 @@ observations discarded by the consistency filter are scored as singletons
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -23,6 +22,7 @@ from .ingest import (
     IngestError,
     LineSource,
     ObservationKey,
+    _jsonl,
     _observation_key,
     _records,
     _strings,
@@ -214,17 +214,7 @@ def parse_ground_truth(source: LineSource) -> GroundTruth:
 
 
 def serialize_ground_truth(truth: GroundTruth) -> str:
-    lines = []
-    for key in sorted(truth.labels):
-        wearer, image, face = key
-        lines.append(
-            json.dumps(
-                {
-                    "wearer_id": wearer,
-                    "image_id": image,
-                    "face_index": face,
-                    "label": truth.labels[key],
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl(
+        {"wearer_id": wearer, "image_id": image, "face_index": face, "label": label}
+        for (wearer, image, face), label in sorted(truth.labels.items())
+    )

@@ -312,9 +312,25 @@ def _long_integer_line(text: str) -> int | None:
     return None
 
 
+# A JSON string, or one opening or closing bracket.
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[\[{]|[\]}]')
+
+
+def _deepest_line(text: str) -> int:
+    """The line of the first opening bracket outside strings at the greatest
+    nesting depth of ``text``: the line a document too deep to decode is named by."""
+    depth = deepest = at = 0
+    for token in _STRING_OR_BRACKET.finditer(text):
+        depth += {"[": 1, "{": 1, "]": -1, "}": -1}.get(token.group(), 0)
+        if depth > deepest:
+            deepest, at = depth, token.start()
+    return text.count("\n", 0, at) + 1
+
+
 def _decode(text: str, what: str, line_no: int | None = None) -> object:
     """The JSON value of ``text``; any fault is ``malformed {what}: ...`` at ``line_no``,
-    or, in a whole document, at the line of a syntax error or of a too-long integer."""
+    or, in a whole document, at the line of a syntax error, of a too-long integer or
+    of the deepest nesting."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -322,7 +338,8 @@ def _decode(text: str, what: str, line_no: int | None = None) -> object:
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise IngestError(f"malformed {what}: {exc}", line_no or _long_integer_line(text)) from None
     except RecursionError:
-        raise IngestError(f"malformed {what}: nested too deeply", line_no) from None
+        where = line_no or _deepest_line(text)
+        raise IngestError(f"malformed {what}: nested too deeply", where) from None
 
 
 def _records(
@@ -793,23 +810,25 @@ def load_dataset(
     return Dataset(dataset.observations, coverage)
 
 
+def _jsonl(records: Iterable[dict]) -> str:
+    """The line-record form :func:`_records` reads: one JSON object a line, each ended."""
+    lines = [json.dumps(record) for record in records]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def serialize_observations(dataset: Dataset) -> str:
     """Emit the observation line format; inverse of :func:`parse_observations`."""
-    lines = []
-    for obs in dataset.observations:
-        lines.append(
-            json.dumps(
-                {
-                    "wearer_id": obs.wearer_id,
-                    "day": obs.day.isoformat(),
-                    "timestamp": obs.timestamp.isoformat(),
-                    "image_id": obs.image_id,
-                    "face_index": obs.face_index,
-                    "descriptor": [float(v) for v in obs.descriptor],
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl(
+        {
+            "wearer_id": obs.wearer_id,
+            "day": obs.day.isoformat(),
+            "timestamp": obs.timestamp.isoformat(),
+            "image_id": obs.image_id,
+            "face_index": obs.face_index,
+            "descriptor": obs.descriptor.tolist(),
+        }
+        for obs in dataset.observations
+    )
 
 
 def serialize_coverage(dataset: Dataset, include_synthesized: bool = False) -> str:
@@ -819,23 +838,18 @@ def serialize_coverage(dataset: Dataset, include_synthesized: bool = False) -> s
     omitted unless explicitly requested; this keeps parse/serialize a true
     round trip.
     """
-    lines = []
-    for key in sorted(dataset.coverage, key=lambda k: (k[0], k[1])):
-        entry = dataset.coverage[key]
-        if entry.synthesized and not include_synthesized:
-            continue
-        lines.append(
-            json.dumps(
-                {
-                    "wearer_id": entry.wearer_id,
-                    "day": entry.day.isoformat(),
-                    "start": entry.start.isoformat(),
-                    "end": entry.end.isoformat(),
-                    "image_count": entry.image_count,
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    entries = [dataset.coverage[key] for key in sorted(dataset.coverage)]
+    return _jsonl(
+        {
+            "wearer_id": entry.wearer_id,
+            "day": entry.day.isoformat(),
+            "start": entry.start.isoformat(),
+            "end": entry.end.isoformat(),
+            "image_count": entry.image_count,
+        }
+        for entry in entries
+        if include_synthesized or not entry.synthesized
+    )
 
 
 def slice_dataset(dataset: Dataset, wearer_id: str) -> Dataset:

@@ -12,7 +12,6 @@ consistency-filtered clustering never produces interactions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from typing import Iterable
@@ -22,6 +21,7 @@ from .ingest import (
     Dataset,
     LineSource,
     _built,
+    _jsonl,
     _non_negative_int,
     _parse_day,
     _parse_timestamp,
@@ -158,21 +158,18 @@ def serialize_interactions(interactions: Iterable[Interaction]) -> str:
     ordered = sorted(
         interactions, key=lambda e: (e.wearer_id, e.day, e.start, e.person_cluster_id)
     )
-    lines = [
-        json.dumps(
-            {
-                "wearer_id": e.wearer_id,
-                "person_cluster_id": e.person_cluster_id,
-                "day": e.day.isoformat(),
-                "start": e.start.isoformat(),
-                "end": e.end.isoformat(),
-                "duration_minutes": e.duration_minutes,
-                "observation_count": e.observation_count,
-            }
-        )
+    return _jsonl(
+        {
+            "wearer_id": e.wearer_id,
+            "person_cluster_id": e.person_cluster_id,
+            "day": e.day.isoformat(),
+            "start": e.start.isoformat(),
+            "end": e.end.isoformat(),
+            "duration_minutes": e.duration_minutes,
+            "observation_count": e.observation_count,
+        }
         for e in ordered
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    )
 
 
 _INTERACTION_FIELDS = ("wearer_id", "person_cluster_id", "day", "start", "end", "observation_count")

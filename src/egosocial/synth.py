@@ -23,7 +23,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .evaluation import GroundTruth
-from .ingest import DESCRIPTOR_DIM, Dataset, DayCoverage, FaceObservation, _is_finite_number
+from .ingest import (
+    DESCRIPTOR_DIM,
+    Dataset,
+    DayCoverage,
+    FaceObservation,
+    _is_finite_number,
+    _jsonl,
+)
 
 
 class SynthConfigError(ValueError):
@@ -274,6 +281,9 @@ _CONFIG_KINDS = {
     "wearer_id": str,
     "base_day": date,
 }
+# Every key a config may hold, and every key a schedule entry may hold.
+_CONFIG_KEYS = frozenset((*_CONFIG_KINDS, "frame_interval_seconds", "schedule"))
+_SCHEDULE_KEYS = frozenset(("identity", "day", "start", "end"))
 
 
 def config_from_dict(record: Mapping) -> SynthConfig:
@@ -295,9 +305,16 @@ def config_from_dict(record: Mapping) -> SynthConfig:
     schedule = record.get("schedule", [])
     if not isinstance(schedule, list):
         raise SynthConfigError(f"config key 'schedule' must be a list, got {schedule!r}")
-    return SynthConfig(
+    config = SynthConfig(
         **values, schedule=tuple(_scheduled_interaction(i, ev) for i, ev in enumerate(schedule))
     )
+    # Checked last, so that an input rejected before keeps its message.
+    stray = [key for key in record if key not in _CONFIG_KEYS]
+    for i, ev in enumerate(schedule):
+        stray += (f"schedule[{i}].{key}" for key in ev if key not in _SCHEDULE_KEYS)
+    if stray:
+        raise SynthConfigError(f"unknown config key {stray[0]!r}")
+    return config
 
 
 def config_to_dict(config: SynthConfig) -> dict:
@@ -330,21 +347,17 @@ def dump_config(config: SynthConfig) -> str:
 
 
 def serialize_schedule_truth(events: Sequence[RealizedEvent]) -> str:
-    lines = []
-    for ev in events:
-        lines.append(
-            json.dumps(
-                {
-                    "identity": ev.identity,
-                    "label": identity_label(ev.identity),
-                    "wearer_id": ev.wearer_id,
-                    "day": ev.day.isoformat(),
-                    "scripted_start": ev.scripted_start.isoformat(),
-                    "scripted_end": ev.scripted_end.isoformat(),
-                    "first_frame": ev.first_frame.isoformat() if ev.first_frame else None,
-                    "last_frame": ev.last_frame.isoformat() if ev.last_frame else None,
-                    "frame_count": ev.frame_count,
-                }
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return _jsonl(
+        {
+            "identity": ev.identity,
+            "label": identity_label(ev.identity),
+            "wearer_id": ev.wearer_id,
+            "day": ev.day.isoformat(),
+            "scripted_start": ev.scripted_start.isoformat(),
+            "scripted_end": ev.scripted_end.isoformat(),
+            "first_frame": ev.first_frame.isoformat() if ev.first_frame else None,
+            "last_frame": ev.last_frame.isoformat() if ev.last_frame else None,
+            "frame_count": ev.frame_count,
+        }
+        for ev in events
+    )

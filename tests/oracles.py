@@ -124,6 +124,46 @@ def distance_double_loop(X: np.ndarray, metric: str) -> np.ndarray:
     return D
 
 
+def gram_distances(X: np.ndarray, metric: str, normalize: bool) -> np.ndarray:
+    """Pairwise dissimilarities by the library's Gram formulas, over the whole matrix.
+
+    Rows are scaled to unit length if asked; cosine and correlation then use
+    the raw or centred rows scaled to unit length. One Gram product g, then:
+    euclidean ``r_i + r_j - 2g`` (r the squared row norms) clamped at 0, each
+    pair above the diagonal at or below ``(r_i + r_j + 1) * 1e-12`` recomputed
+    as the squared norm of its row difference, and the square root; cosine and
+    correlation ``1 - clip(g, -1, 1)``, each pair above the diagonal at or
+    below 1e-12 set to 0 where its two rows are bit-identical. The upper
+    triangle is copied to the lower one and the diagonal is zero. Each step
+    rounds as the library's does, so the two agree bit for bit.
+    """
+    X = np.array(X, dtype=np.float64)
+    if normalize:
+        X = X / np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
+    if metric == "euclidean":
+        r = np.einsum("ij,ij->i", X, X)
+        rr = r[:, None] + r[None, :]
+        D = np.maximum(rr - 2.0 * (X @ X.T), 0.0)
+        near = D <= (rr + 1.0) * 1e-12
+    else:
+        U = X - X.mean(axis=1, keepdims=True) if metric == "correlation" else X
+        U = U / np.sqrt(np.einsum("ij,ij->i", U, U))[:, None]
+        D = 1.0 - np.clip(U @ U.T, -1.0, 1.0)
+        near = D <= 1e-12
+    ii, jj = np.nonzero(np.triu(near, 1))
+    if metric == "euclidean":
+        diff = X[ii] - X[jj]
+        D[ii, jj] = np.einsum("ij,ij->i", diff, diff)
+        D = np.sqrt(D)
+    else:
+        same = np.all(X[ii] == X[jj], axis=1)
+        D[ii[same], jj[same]] = 0.0
+    below = np.tril_indices(len(X), -1)
+    D[below] = D.T[below]
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
 def naive_average_linkage(D0: np.ndarray, cut: float) -> set[frozenset[int]]:
     """O(n^3)-style reference: rescan every cluster pair each merge.
 
@@ -588,20 +628,38 @@ def _naive_kind_fault(name: str, value, kinds: tuple[str, ...]) -> str | None:
 
 
 def naive_document_fault(text: str, what: str) -> str | None:
-    """The message that rejects a JSON document before any of its keys is read: an
-    integer with more digits than the interpreter converts, named by its line; None
-    if there is none. Reads character by character, skipping strings and the digits
-    of every number with a fraction or an exponent."""
+    """The message that rejects a JSON document before any of its keys is read; None
+    if there is none. A document nested too deeply for the decoder is named by the
+    line of its first opening bracket at the greatest depth; otherwise an integer
+    with more digits than the interpreter converts is named by its line. Reads
+    character by character, skipping strings and the digits of every number with a
+    fraction or an exponent. Only whether the nesting is too deep is asked of the
+    decoder, whose depth limit depends on the interpreter."""
+    try:
+        json.loads(text)
+        too_deep = False
+    except RecursionError:
+        too_deep = True
+    except ValueError:
+        too_deep = False
     limit = sys.get_int_max_str_digits()
+    long_integer = None
     line, i = 1, 0
+    depth = deepest = deepest_line = 0
     while i < len(text):
         c = text[i]
         if c == '"':
             i += 1
-            while text[i] != '"':
+            while i < len(text) and text[i] != '"':
                 i += 2 if text[i] == "\\" else 1
         elif c == "\n":
             line += 1
+        elif c in "[{":
+            depth += 1
+            if depth > deepest:
+                deepest, deepest_line = depth, line
+        elif c in "]}":
+            depth -= 1
         elif c.isascii() and c.isdigit():
             j = i
             while j < len(text) and text[j].isascii() and text[j].isdigit():
@@ -609,15 +667,17 @@ def naive_document_fault(text: str, what: str) -> str | None:
             if j < len(text) and text[j] in ".eE":
                 while j < len(text) and (text[j].isdigit() or text[j] in ".eE+-"):
                     j += 1
-            elif j - i > limit:
+            elif j - i > limit and long_integer is None:
                 try:
                     int(text[i:j])
                 except ValueError as exc:
-                    return f"line {line}: malformed {what}: {exc}"
+                    long_integer = f"line {line}: malformed {what}: {exc}"
             i = j
             continue
         i += 1
-    return None
+    if too_deep:
+        return f"line {deepest_line}: malformed {what}: nested too deeply"
+    return long_integer
 
 
 def naive_config_fault(doc: dict) -> str | None:

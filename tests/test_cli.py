@@ -673,7 +673,7 @@ def test_out_of_range_run_flag_rejected(tmp_path, synth_dir, capsys, flags, mess
     assert err.splitlines()[-1] == f"error: {message}"
 
 
-@pytest.mark.parametrize(
+_DEEP_DOCUMENT_COMMANDS = pytest.mark.parametrize(
     "command, message",
     [
         (["pipeline", "--obs", "{obs}", "--config", "{doc}"], "malformed config {doc}: nested too deeply"),
@@ -682,16 +682,34 @@ def test_out_of_range_run_flag_rejected(tmp_path, synth_dir, capsys, flags, mess
     ],
     ids=["pipeline-config", "render-traits", "synth-config"],
 )
-def test_deeply_nested_document_rejected(tmp_path, synth_dir, capsys, command, message):
+
+
+def _reject_deep(tmp_path, synth_dir, capsys, command, text) -> str:
     doc = tmp_path / "deep.json"
-    doc.write_text("[" * 100_000)
+    doc.write_text(text)
     where = {"obs": synth_dir / "observations.jsonl", "doc": doc}
     argv = [arg.format(**where) for arg in command] + ["--out", str(tmp_path / "o")]
     capsys.readouterr()
-    rc = main(argv)
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == f"error: {message.format(**where)}\n"
+    assert main(argv) == 2
+    return capsys.readouterr().err.replace(str(doc), "{doc}")
+
+
+@_DEEP_DOCUMENT_COMMANDS
+def test_deeply_nested_document_rejected(tmp_path, synth_dir, capsys, command, message):
+    err = _reject_deep(tmp_path, synth_dir, capsys, command, "[" * 100_000)
+    assert err == f"error: line 1: {message}\n"
+
+
+@_DEEP_DOCUMENT_COMMANDS
+def test_deeply_nested_document_names_the_line_of_its_deepest_bracket(
+    tmp_path, synth_dir, capsys, command, message
+):
+    # Line 1 holds a string of brackets and a shallow run, line 2 the deep one,
+    # and line 3 closes some of it and opens a shallower run.
+    text = '{"a": "[[[[", "b": ' + "[" * 100 + "]" * 100 + ',\n "c": ' + "[" * 100_000
+    text += "\n" + "]" * 10 + "[" * 5
+    err = _reject_deep(tmp_path, synth_dir, capsys, command, text)
+    assert err == f"error: line 2: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1016,6 +1034,19 @@ def test_non_integer_interaction_field_rejected_with_line(
         ({"dropout_rate": False}, "config key 'dropout_rate' must be a finite number, got False"),
         ({"wearer_id": 7}, "config key 'wearer_id' must be a string, got 7"),
         ({"base_day": "March 4"}, "config key 'base_day' must be an ISO date string, got 'March 4'"),
+        ({"sead": 9}, "unknown config key 'sead'"),
+        (
+            {"n_days": 2, "schedule": [
+                {"identity": 0, "day": 1, "start": "09:00", "end": "09:10", "extra": 1},
+            ]},
+            "unknown config key 'schedule[0].extra'",
+        ),
+        # Every other check comes first, so an input rejected before keeps its message.
+        ({"sead": 9, "n_days": 0}, "need at least one day and one identity"),
+        (
+            {"schedule": [{"identity": 0, "day": 3, "start": "09:00", "end": "09:10", "x": 1}]},
+            "scheduled day 3 outside 0..0",
+        ),
     ],
     ids=[
         "missing-identity",
@@ -1032,6 +1063,10 @@ def test_non_integer_interaction_field_rejected_with_line(
         "rate-bool",
         "wearer-int",
         "bad-date",
+        "unknown-key",
+        "unknown-schedule-key",
+        "unknown-key-after-range-check",
+        "unknown-schedule-key-after-range-check",
     ],
 )
 def test_bad_synth_config_rejected(tmp_path, capsys, doc, message):

@@ -38,6 +38,7 @@ from egosocial.clustering import (
 from egosocial.ingest import Dataset, IngestError
 from oracles import (
     distance_double_loop,
+    gram_distances,
     lance_williams_linkage,
     naive_average_linkage,
     naive_clustering_fault,
@@ -74,6 +75,28 @@ def test_matches_double_loop_oracle(rng, metric, normalize):
     ref_X = X / np.linalg.norm(X, axis=1, keepdims=True) if normalize else X
     ref = distance_double_loop(ref_X, metric)
     assert np.max(np.abs(d.entries - ref)) < 1e-12
+
+
+def _kernel_rows(kind: str, n: int, rng) -> np.ndarray:
+    """Random rows, rows drawn from four distinct descriptors, or rows from 1e-9
+    to 1e-5 apart, whose pairs straddle the near-duplicate thresholds."""
+    if kind == "random":
+        return rng.standard_normal((n, 128))
+    if kind == "few-distinct":
+        return rng.standard_normal((4, 128))[rng.integers(0, 4, n)]
+    spread = np.logspace(-9, -5, n)[rng.permutation(n), None]
+    return rng.standard_normal(128) + spread * rng.standard_normal((n, 128))
+
+
+# n crosses the edges of the 32-row blocks of compute_distances.
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 300])
+@pytest.mark.parametrize("kind", ["random", "few-distinct", "close"])
+def test_distances_equal_gram_oracle_bitwise(kind, n):
+    X = _kernel_rows(kind, n, np.random.default_rng(n))
+    for metric in METRICS:
+        for normalize in (False, True):
+            D = compute_distances(X, metric=metric, normalize=normalize).entries
+            assert np.array_equal(D, gram_distances(X, metric, normalize)), (metric, normalize)
 
 
 def test_correlation_distance_consistent_with_pearson(rng):
@@ -430,9 +453,12 @@ def test_distances_and_linkage_stay_near_one_dense_matrix(rng):
     dense = n * n * 8
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        dist = compute_distances(X, metric="euclidean", normalize=True)
-        distance_peak = tracemalloc.get_traced_memory()[1] - base
+        distance_peak = {}
+        for metric in ("cosine", "correlation", "euclidean"):  # euclidean's is clustered
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dist = compute_distances(X, metric=metric, normalize=True)
+            distance_peak[metric] = (tracemalloc.get_traced_memory()[1] - base) / dense
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         clustering = ahc_average_linkage(dist, AhcParams(cut_threshold=0.9))
@@ -440,9 +466,12 @@ def test_distances_and_linkage_stay_near_one_dense_matrix(rng):
     finally:
         tracemalloc.stop()
     assert clustering.n_clusters == k
-    # Measured 1.107x and 0.019x (numpy 2.4): the matrix plus one descriptor
-    # copy and 32-row temporaries, and linkage's 32-row gathers.
-    assert distance_peak <= 1.12 * dense, distance_peak / dense
+    # Measured 1.103x for euclidean, 1.134x for cosine and correlation, and
+    # 0.019x for linkage (numpy 2.4): the matrix plus one descriptor copy (and
+    # the unit rows) and 32-row temporaries, and linkage's 32-row gathers.
+    assert distance_peak["euclidean"] <= 1.12, distance_peak
+    assert distance_peak["cosine"] <= 1.16, distance_peak
+    assert distance_peak["correlation"] <= 1.16, distance_peak
     assert linkage_peak <= 0.025 * dense, linkage_peak / dense
 
 

@@ -39,6 +39,7 @@ from egosocial.ingest import (
 from oracles import (
     naive_coverage_fault,
     naive_descriptor,
+    naive_document_fault,
     naive_observation_fault,
     naive_slice,
     naive_wearers,
@@ -195,6 +196,34 @@ def test_deeply_nested_line_rejected_with_its_line():
     with pytest.raises(IngestError) as info:
         parse_observations(obs_line() + "\n" + "[" * 100_000)
     assert (str(info.value), info.value.line_no) == ("line 2: malformed record: nested too deeply", 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.integers(0, 3000),
+            st.integers(0, 300),
+            st.sampled_from([("[", "]"), ('{"k": [', "]}")]),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_deep_document_named_as_the_oracle_names_it(runs):
+    # Lines that open arrays, or objects whose key is a string, and close fewer
+    # of them: the decoder's depth limit may be passed on any line, or never.
+    text = ",\n".join(
+        opener * up + closer * min(down, up) for up, down, (opener, closer) in runs
+    )
+    expected = naive_document_fault(text, "doc")
+    try:
+        ingest._decode(text, "doc")
+    except IngestError as exc:
+        assert expected is None or str(exc) == expected
+        assert expected is not None or "nested too deeply" not in str(exc)
+    else:
+        assert expected is None
 
 
 def test_zulu_suffix_accepted():
