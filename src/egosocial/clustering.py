@@ -19,7 +19,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, IngestError, _decode, _jsonl, _observation_key, _records
+from .ingest import (
+    Dataset,
+    IngestError,
+    ObservationKey,
+    _decode,
+    _jsonl,
+    _observation_key,
+    _records,
+)
 
 METRICS = ("euclidean", "cosine", "correlation")
 
@@ -209,6 +217,10 @@ _TILE = 256
 # changes no bit of the result, only the scratch memory.
 _ROWS = 32
 
+# Descriptor entries per gather of near-duplicate row pairs in _distances:
+# each gathered (pairs, d) array of rows stays at 512 KiB, whatever d is.
+_NEAR_ENTRIES = 65536
+
 
 def _distances(X: np.ndarray, U: np.ndarray, euclidean: bool) -> np.ndarray:
     """The symmetric distances between rows of X, made in the Gram matrix of U.
@@ -222,13 +234,15 @@ def _distances(X: np.ndarray, U: np.ndarray, euclidean: bool) -> np.ndarray:
        euclidean, r the squared row norms), or ``1 - clip(g, -1, 1)``;
     2. has the entries above the diagonal at or below the near threshold,
        where the Gram form cancels, fixed: euclidean ones are recomputed from
-       the row difference, the others are 0 where the rows are bit-identical;
+       the row difference, the others are 0 where the rows are bit-identical,
+       _NEAR_ENTRIES // d pairs of rows at a time;
     3. takes the square root (euclidean);
     4. is copied, transposed, onto the rows below it.
 
     The diagonal is zeroed last.
     """
-    n = X.shape[0]
+    n, d = X.shape
+    step = max(1, _NEAR_ENTRIES // max(d, 1))  # near pairs per gather
     D = U @ U.T
     if euclidean:
         r = np.einsum("ij,ij->i", X, X)
@@ -250,9 +264,9 @@ def _distances(X: np.ndarray, U: np.ndarray, euclidean: bool) -> np.ndarray:
         lower = np.tril_indices(hi - lo)
         near[:, : hi - lo][lower] = False
         ii, jj = np.nonzero(near)
-        for start in range(0, ii.size, 65536):
-            si = ii[start : start + 65536]
-            sj = jj[start : start + 65536]
+        for start in range(0, ii.size, step):
+            si = ii[start : start + step]
+            sj = jj[start : start + step]
             if euclidean:
                 diff = X[si + lo] - X[sj + lo]
                 block[si, sj] = np.einsum("ij,ij->i", diff, diff)
@@ -338,7 +352,8 @@ def compute_distances(
     one dense matrix plus O(32 * n) of temporaries and one or two (n, 128)
     descriptor arrays: 1.10x (euclidean) and 1.14x (cosine, correlation)
     n*n*8 bytes measured at n = 2,000, closer to 1x as n grows. Rows that
-    are near-duplicates add up to 65,536 gathered pairs of rows at a time.
+    are near-duplicates add gathered pairs of rows, 512 KiB of each side at
+    a time.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -922,6 +937,15 @@ def _clustering_header(line: str, line_no: int) -> dict:
 _CLUSTERING_FIELDS = ("wearer_id", "image_id", "face_index", "cluster_id")
 
 
+def _clustering_record(rec: dict, line_no: int) -> tuple[ObservationKey, int]:
+    """The observation a clustering record names, and its cluster id (>= -1)."""
+    key, _ = _observation_key(rec, line_no)
+    cid = rec["cluster_id"]
+    if type(cid) is not int or cid < -1:
+        raise IngestError(f"cluster_id must be an integer >= -1, got {cid!r}", line_no)
+    return key, cid
+
+
 def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
     """Rebuild per-wearer clusterings from their line-record form.
 
@@ -940,12 +964,9 @@ def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
             headers = _clustering_header(line, line_no)
 
     records: dict[str, dict[tuple[str, int], tuple[int, int]]] = {}
-    for line_no, ((wearer, image, face), rec) in _records(
-        lines, _CLUSTERING_FIELDS, _observation_key
+    for line_no, ((wearer, image, face), cid) in _records(
+        lines, _CLUSTERING_FIELDS, _clustering_record
     ):
-        cid = rec["cluster_id"]
-        if not isinstance(cid, int) or isinstance(cid, bool) or cid < -1:
-            raise IngestError(f"cluster_id must be an integer >= -1, got {cid!r}", line_no)
         own = records.setdefault(wearer, {})
         if (image, face) in own:
             raise IngestError(

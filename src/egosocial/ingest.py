@@ -39,13 +39,16 @@ mismatches are rejecting errors that name the offending line. Nothing is
 silently dropped. Descriptors are stored exactly as given; normalization
 is a clustering-stage option so the raw inputs stay inspectable.
 
-Every reader of the toolkit keeps one contract. :func:`_decode` is the only
-JSON decoder, for record lines, the clustering header and whole documents
-alike. :func:`_records` is the only record loop: a reader is its field list
-plus a function that checks and builds one record with the field checks
-here. Identifiers are JSON strings, checked, never coerced. A new check goes
-after a reader's existing ones, so an input rejected before keeps its
-message and line.
+Every reader of the toolkit keeps one contract. :func:`_records` is the
+only record loop: a reader is its field list plus a function that checks
+and builds one record with the field checks here. The loop decodes a line
+with orjson first, and json, through :func:`_decode`, judges every line
+orjson refuses and every record built from orjson's value that is rejected.
+So each line is accepted with exactly the value json gives it, or rejected
+with json's message and line. :func:`_decode` alone decodes whole
+documents and the clustering header. Identifiers are JSON strings, checked,
+never coerced. A new check goes after a reader's existing ones, so an input
+rejected before keeps its message and line.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from functools import cached_property
 from typing import IO, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import orjson
 
 DESCRIPTOR_DIM = 128
 
@@ -342,6 +346,39 @@ def _decode(text: str, what: str, line_no: int | None = None) -> object:
         raise IngestError(f"malformed {what}: nested too deeply", where) from None
 
 
+def _record(
+    value: object, line_no: int, fields: Sequence[str], build: Callable[[dict, int], object]
+) -> object:
+    """``build(value, line_no)`` if ``value`` is an object holding every key in ``fields``."""
+    if not isinstance(value, dict):
+        raise IngestError("record is not an object", line_no)
+    missing = [f for f in fields if f not in value]
+    if missing:
+        raise IngestError(f"missing fields {missing}", line_no)
+    return build(value, line_no)
+
+
+def _line_record(
+    line: str, line_no: int, fields: Sequence[str], build: Callable[[dict, int], object]
+) -> object:
+    """The record of one line, built from the value json gives it, or json's reject.
+
+    orjson decodes a line with no ``{`` after its first character and at most
+    one ``[``, too shallow for json's nesting limit. Where orjson accepts a
+    line, its value is json's but for an integer outside [-2**63, 2**64),
+    which it makes a float; inside a descriptor both give the same float64,
+    and anywhere else only a check inside ``build`` can tell them apart. So a
+    line orjson refuses, and a record built from its value that is rejected,
+    is decoded again by json and built again.
+    """
+    if line.find("{", 1) < 0 and line.find("[", line.find("[") + 1) < 0:
+        try:
+            return _record(orjson.loads(line), line_no, fields, build)
+        except (orjson.JSONDecodeError, IngestError):
+            pass  # json judges the line
+    return _record(_decode(line, "record", line_no), line_no, fields, build)
+
+
 def _records(
     source: LineSource, fields: Sequence[str], build: Callable[[dict, int], object]
 ) -> Generator[tuple[int, object], None, int]:
@@ -353,13 +390,7 @@ def _records(
             line_no, line = next(lines)
         except StopIteration as end:
             return end.value
-        record = _decode(line, "record", line_no)
-        if not isinstance(record, dict):
-            raise IngestError("record is not an object", line_no)
-        missing = [f for f in fields if f not in record]
-        if missing:
-            raise IngestError(f"missing fields {missing}", line_no)
-        yield line_no, build(record, line_no)
+        yield line_no, _line_record(line, line_no, fields, build)
 
 
 def _strings(record: dict, keys: tuple[str, ...], line_no: int) -> None:

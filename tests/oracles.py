@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive (double loops, full enumerations,
 high-precision arithmetic) and shares no code with the package, so a bug
-cannot hide in both paths at once. The one exception is
+cannot hide in both paths at once. The two exceptions are
 :func:`cluster_mean_correlation`, a test helper over the package's Pearson
-matrix.
+matrix, and :func:`json_records`, a record loop that drives the package's
+own record builders.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from egosocial.consistency import pairwise_pearson_matrix
+from egosocial.ingest import IngestError
 
 
 def pearson_highprec(x, y, dps: int = 50) -> float:
@@ -377,6 +379,42 @@ def _reject_record(line: str) -> dict | str:
     if not isinstance(record, dict):
         return "record is not an object"
     return record
+
+
+def json_records(source, fields, build):
+    """The reader's record loop with every line decoded by ``json.loads`` alone.
+
+    ``source`` is a text or a list of lines. Yields (line number,
+    ``build(record, line number)``) for each line that is neither blank nor a
+    '#' comment, raises :class:`IngestError` as the loop did before it decoded
+    with orjson, and returns the line count. A reader whose ``_records`` is
+    replaced by this one reads every line by json's judgement alone.
+    """
+    items = source.splitlines() if isinstance(source, str) else source
+    lines = [line for item in items for line in item.splitlines() or [""]]
+    for no, raw in enumerate(lines, start=1):
+        escaped = re.search("[\udc80-\udcff]", raw)
+        if escaped:
+            byte, column = ord(escaped.group()) - 0xDC00, escaped.start() + 1
+            raise IngestError(f"undecodable byte 0x{byte:02x} at column {column}", no)
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"malformed record: {exc.msg}", no) from None
+        except ValueError as exc:
+            raise IngestError(f"malformed record: {exc}", no) from None
+        except RecursionError:
+            raise IngestError("malformed record: nested too deeply", no) from None
+        if not isinstance(record, dict):
+            raise IngestError("record is not an object", no)
+        missing = [f for f in fields if f not in record]
+        if missing:
+            raise IngestError(f"missing fields {missing}", no)
+        yield no, build(record, no)
+    return len(lines)
 
 
 def _naive_count(value) -> bool:
