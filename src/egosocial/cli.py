@@ -6,7 +6,9 @@ writer. ``pipeline`` chains them; ``cluster``, ``segment`` and ``profile``
 run one stage each and write the same bytes. The helpers call the library
 through this module's names, which ``perfbench/spans.py`` wraps to time
 each layer. Every clustering method dispatches through
-:func:`egosocial.clustering.cluster`, so ``eval`` clusters as ``cluster`` does.
+:func:`egosocial.clustering.cluster`: ``cluster`` and ``pipeline`` cluster
+each wearer on its own, while ``eval`` clusters the whole dataset as one
+pile through :func:`egosocial.evaluation.evaluate_methods`.
 
 Every subcommand is scriptable and reproducible: all analytic parameters
 are printed at startup, serialized into each artifact's provenance block,
@@ -51,6 +53,7 @@ from .evaluation import (
 )
 from .ingest import (
     Dataset,
+    _chart_name_fault,
     _decode,
     _iter_lines,
     load_dataset,
@@ -313,15 +316,17 @@ def _write_eval(out: Path, results: dict[str, MethodEvaluation], prov: dict) -> 
 
 
 def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
-    """The records and provenance fingerprint of a traits report; names a missing key
-    or a value whose JSON type does not fit its field. A report without a
-    provenance, or a provenance without a fingerprint, is "unspecified"."""
+    """The records and provenance fingerprint of a traits report; names a missing key,
+    a value whose JSON type does not fit its field, and a wearer id that cannot name
+    its chart or that an earlier record names. A report without a provenance, or a
+    provenance without a fingerprint, is "unspecified"."""
     doc = _read_document(path, f"traits file {path}")
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"traits file {path} lacks key 'wearers' (a list of records)")
     hints = typing.get_type_hints(SocialTraits)
     traits = []
+    first: dict[str, int] = {}  # the record index of each wearer id
     for i, record in enumerate(records):
         where = f"traits file {path}: wearers[{i}]"
         if not isinstance(record, dict):
@@ -331,6 +336,15 @@ def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
                 _check_value(f"{where}: key {field.name!r}", hints[field.name], record[field.name])
             elif field.default is MISSING:
                 raise ValueError(f"{where} lacks key {field.name!r}")
+        wearer_id = record["wearer_id"]
+        fault = _chart_name_fault(wearer_id)
+        if fault:
+            raise ValueError(f"{where}: {fault}")
+        if wearer_id in first:
+            raise ValueError(
+                f"{where}: wearer_id {wearer_id!r} repeats wearers[{first[wearer_id]}]"
+            )
+        first[wearer_id] = i
         traits.append(SocialTraits(**{name: record[name] for name in hints if name in record}))
     provenance = doc.get("provenance", {})
     _check_value(f"traits file {path}: key 'provenance'", dict, provenance)

@@ -19,12 +19,12 @@ from .clustering import Clustering, MethodParams, cluster
 from .consistency import ConsistencyThresholds, apply_consistency
 from .ingest import (
     Dataset,
-    IngestError,
     LineSource,
     ObservationKey,
     _jsonl,
     _observation_key,
     _records,
+    _see_once,
     _strings,
 )
 from .render import format_text_table
@@ -201,13 +201,7 @@ def parse_ground_truth(source: LineSource) -> GroundTruth:
     labels: dict[ObservationKey, str] = {}
     seen: dict[ObservationKey, int] = {}
     for line_no, (key, rec) in _records(source, _TRUTH_FIELDS, _observation_key):
-        if key in seen:
-            raise IngestError(
-                f"duplicate (image_id, face_index) = ({key[1]!r}, {key[2]}) "
-                f"for wearer {key[0]!r}, first seen on line {seen[key]}",
-                line_no,
-            )
-        seen[key] = line_no
+        _see_once(seen, key, line_no)
         _strings(rec, ("label",), line_no)
         labels[key] = rec["label"]
     return GroundTruth(labels=labels)

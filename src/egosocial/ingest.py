@@ -26,12 +26,12 @@ can fork, may run on more than one CPU (``os.sched_getaffinity``) and runs
 no other Python thread. The file is cut into byte ranges, one per usable
 CPU but at most one per 2 MiB, each ending just after a ``\n``. A forked
 process parses each range but the first, which the reading process parses
-itself, and sends its records back in frames; the parts are merged in file
-order. The records, their order, and the message and line number of the
+itself, and sends its records back as one message; the parts are merged in
+file order. The records, their order, and the message and line number of the
 first faulty line are those of the serial reader, and the reading process
-holds the parsed records plus one block of its own part's text or one frame
-of another part's records. Every other input is read serially: a string,
-an iterable of lines, a pipe, a smaller file, a run on one CPU.
+holds the parsed records plus one block of its own part's text or one part's
+record fields. Every other input is read serially: a string, an iterable of
+lines, a pipe, a smaller file, a run on one CPU.
 
 Parsing is strict: malformed lines, wrong descriptor lengths, non-finite
 values, duplicate (image_id, face_index) keys, and timestamp/day
@@ -481,6 +481,29 @@ def _observation_key(record: dict, line_no: int) -> tuple[ObservationKey, dict]:
     return (record["wearer_id"], record["image_id"], face_index), record
 
 
+def _see_once(seen: dict[ObservationKey, int], key: ObservationKey, line_no: int) -> None:
+    """Note that ``key`` is named on ``line_no``; reject a key ``seen`` names already."""
+    if key in seen:
+        wearer_id, image_id, face_index = key
+        raise IngestError(
+            f"duplicate (image_id, face_index) = ({image_id!r}, {face_index}) "
+            f"for wearer {wearer_id!r}, first seen on line {seen[key]}",
+            line_no,
+        )
+    seen[key] = line_no
+
+
+def _chart_name_fault(wearer_id: str) -> str | None:
+    """Why ``wearer_id`` cannot name its own radar chart, ``<wearer_id>.svg`` beside
+    ``overlay.svg``, or None: a '/' or NUL would put the chart elsewhere or nowhere."""
+    if "/" in wearer_id or "\0" in wearer_id or wearer_id == "overlay":
+        return (
+            f"wearer_id {wearer_id!r} cannot name a chart file: "
+            "it holds '/' or NUL, or is 'overlay'"
+        )
+    return None
+
+
 def _sort_key(obs: FaceObservation):
     return (obs.wearer_id, obs.timestamp, obs.image_id, obs.face_index)
 
@@ -522,8 +545,6 @@ def _synthesize_coverage(
 _PART_MIN_BYTES = 2 << 20
 # Bytes read from a file at a time.
 _READ_BYTES = 1 << 16
-# Observations a parsing process sends per frame.
-_FRAME_RECORDS = 512
 # Codecs in which the byte b"\n" is always a line end and decoding starts
 # afresh after it, so that each part decodes on its own as the whole file does.
 _SPLITTABLE_CODECS = frozenset(("ascii", "utf-8", "iso8859-1"))
@@ -537,7 +558,8 @@ def _merge_parts(parts: Iterable[_PartRecords]) -> list[FaceObservation]:
 
     Each part numbers its own lines; its records and its fault are moved past
     the lines of the parts before it, and a key seen before in any part is
-    rejected on the line that repeats it.
+    rejected on the line that repeats it. Then a wearer id that cannot name
+    its chart is rejected on its line.
     """
     observations: list[FaceObservation] = []
     seen: dict[ObservationKey, int] = {}
@@ -552,13 +574,10 @@ def _merge_parts(parts: Iterable[_PartRecords]) -> list[FaceObservation]:
             except IngestError as exc:
                 raise IngestError(exc.reason, offset + exc.line_no) from None
             line_no += offset
-            if obs.key in seen:
-                raise IngestError(
-                    f"duplicate (image_id, face_index) = ({obs.image_id!r}, {obs.face_index}) "
-                    f"for wearer {obs.wearer_id!r}, first seen on line {seen[obs.key]}",
-                    line_no,
-                )
-            seen[obs.key] = line_no
+            _see_once(seen, obs.key, line_no)
+            fault = _chart_name_fault(obs.wearer_id)
+            if fault:
+                raise IngestError(fault, line_no)
             observations.append(obs)
     return observations
 
@@ -641,35 +660,30 @@ def _part_text(fd: int, start: int, end: int, encoding: str) -> Iterator[str]:
 
 
 def _send_part(stream: IO[bytes], lines: Iterable[str]) -> None:
-    """Parse ``lines`` and write them to ``stream`` as pickled frames.
+    """Parse ``lines`` and write them to ``stream`` as one pickled message.
 
-    A frame is (fields, descriptors, tail): up to ``_FRAME_RECORDS`` tuples of
-    (line number, wearer_id, day, timestamp, image_id, face_index), their
-    descriptors as one float64 block, and in the last frame only, the part's
-    line count and the :class:`IngestError` that ended it, or None. The whole
-    part is parsed before the first write, so that the parsing never waits on
-    the pipe while the parent parses its own part.
+    The message is (fields, descriptors, line count, fault): a tuple of (line
+    number, wearer_id, day, timestamp, image_id, face_index) per record, their
+    descriptors as one float64 block, the part's line count, and the
+    :class:`IngestError` that ended it, or None. The whole part is parsed
+    before the write, so that the parsing never waits on the pipe while the
+    parent parses its own part.
     """
     fields, rows = [], []
     records = _records(lines, _OBSERVATION_FIELDS, _observation)
-    while True:
-        try:
+    try:
+        while True:
             line_no, obs = next(records)
-        except StopIteration as end:
-            tail = (end.value, None)
-            break
-        except IngestError as exc:
-            tail = (0, exc)
-            break
-        fields.append(
-            (line_no, obs.wearer_id, obs.day, obs.timestamp, obs.image_id, obs.face_index)
-        )
-        rows.append(obs.descriptor)
-    for at in range(0, max(len(fields), 1), _FRAME_RECORDS):
-        stop = at + _FRAME_RECORDS
-        block = np.array(rows[at:stop], dtype=np.float64).reshape(-1, DESCRIPTOR_DIM)
-        frame = (fields[at:stop], block, tail if stop >= len(fields) else None)
-        pickle.dump(frame, stream, pickle.HIGHEST_PROTOCOL)
+            fields.append(
+                (line_no, obs.wearer_id, obs.day, obs.timestamp, obs.image_id, obs.face_index)
+            )
+            rows.append(obs.descriptor)
+    except StopIteration as end:
+        n_lines, fault = end.value, None
+    except IngestError as exc:
+        n_lines, fault = 0, exc
+    block = np.array(rows, dtype=np.float64).reshape(-1, DESCRIPTOR_DIM)
+    pickle.dump((fields, block, n_lines, fault), stream, pickle.HIGHEST_PROTOCOL)
 
 
 class _PartProcess:
@@ -705,21 +719,18 @@ class _PartProcess:
 
     def records(self) -> _PartRecords:
         """The part's records as the child parsed them, then its line count or its fault."""
-        while True:
-            try:
-                fields, block, tail = pickle.load(self.stream)
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(
-                    f"the process parsing bytes {self.start}-{self.end} of the observation "
-                    f"file exited with code {self.reap()} before sending them"
-                ) from None
-            for (line_no, *values), row in zip(fields, block):
-                yield line_no, FaceObservation(*values, _CheckedDescriptor(row))
-            if tail is not None:
-                n_lines, fault = tail
-                if fault is not None:
-                    raise fault
-                return n_lines
+        try:
+            fields, block, n_lines, fault = pickle.load(self.stream)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(
+                f"the process parsing bytes {self.start}-{self.end} of the observation "
+                f"file exited with code {self.reap()} before sending them"
+            ) from None
+        for (line_no, *values), row in zip(fields, block):
+            yield line_no, FaceObservation(*values, _CheckedDescriptor(row))
+        if fault is not None:
+            raise fault
+        return n_lines
 
     def reap(self, kill: bool = False) -> int:
         """Close the pipe and wait for the child, killed first if asked; its exit code."""
@@ -768,7 +779,7 @@ def parse_observations(source: LineSource) -> Dataset:
     source is read one line at a time in this process. Both give the same
     records, in the same order, and the same reject message and line number
     for the first faulty line, and both hold the parsed records plus one line,
-    or one frame of a forked parser's records, at a time.
+    or one part's record fields, at a time.
 
     Coverage is synthesized as [first, last] observation timestamp for
     every (wearer, day), flagged ``synthesized``. Use :func:`load_dataset`
@@ -808,6 +819,9 @@ def parse_coverage(source: LineSource) -> tuple[DayCoverage, ...]:
         key = (entry.wearer_id, entry.day)
         if key in entries:
             raise IngestError(f"duplicate coverage entry for {key}", line_no)
+        fault = _chart_name_fault(entry.wearer_id)
+        if fault:
+            raise IngestError(fault, line_no)
         entries[key] = entry
     return tuple(entries.values())
 

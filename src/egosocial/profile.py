@@ -131,37 +131,18 @@ def compute_traits(
 
     n_days = len(days)
     total_events = sum(per_day_events)
-    total_minutes = sum(per_day_minutes)
-    persons_per_day = sum(per_day_persons) / n_days
-    interactions_per_day = total_events / n_days
-    minutes_alone_per_day = sum(per_day_alone) / n_days
-
-    if total_events == 0:
-        return SocialTraits(
-            wearer_id=wearer_id,
-            persons_per_day=0.0,
-            interactions_per_day=0.0,
-            minutes_per_interaction=0.0,
-            minutes_per_person=0.0,
-            minutes_alone_per_day=minutes_alone_per_day,
-            days_analyzed=n_days,
-            no_interactions=True,
-        )
-
-    minutes_per_interaction = total_minutes / total_events
-    social_days = [
-        (m, p) for m, p in zip(per_day_minutes, per_day_persons) if p > 0
-    ]
-    minutes_per_person = sum(m / p for m, p in social_days) / len(social_days)
-
+    social_days = [(m, p) for m, p in zip(per_day_minutes, per_day_persons) if p > 0]
     return SocialTraits(
         wearer_id=wearer_id,
-        persons_per_day=persons_per_day,
-        interactions_per_day=interactions_per_day,
-        minutes_per_interaction=minutes_per_interaction,
-        minutes_per_person=minutes_per_person,
-        minutes_alone_per_day=minutes_alone_per_day,
+        persons_per_day=sum(per_day_persons) / n_days,
+        interactions_per_day=total_events / n_days,
+        minutes_per_interaction=sum(per_day_minutes) / total_events if total_events else 0.0,
+        minutes_per_person=(
+            sum(m / p for m, p in social_days) / len(social_days) if social_days else 0.0
+        ),
+        minutes_alone_per_day=sum(per_day_alone) / n_days,
         days_analyzed=n_days,
+        no_interactions=total_events == 0,
     )
 
 

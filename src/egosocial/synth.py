@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -253,44 +253,33 @@ def _typed(name: str, value: object, kind: type) -> object:
     raise SynthConfigError(f"config key {name!r} must be {description}, got {value!r}")
 
 
+def _field_kinds(cls: type) -> dict[str, object]:
+    """The key and type of each field of the dataclass ``cls``, in field order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
 def _scheduled_interaction(i: int, ev: object) -> ScheduledInteraction:
     if not isinstance(ev, Mapping):
         raise SynthConfigError(f"schedule[{i}] must be a JSON object")
-    try:
-        return ScheduledInteraction(
-            identity=_typed(f"schedule[{i}].identity", ev["identity"], int),
-            day=_typed(f"schedule[{i}].day", ev["day"], int),
-            start=_typed(f"schedule[{i}].start", ev["start"], time),
-            end=_typed(f"schedule[{i}].end", ev["end"], time),
-        )
-    except KeyError as exc:
-        raise SynthConfigError(f"schedule[{i}] lacks key {exc}") from None
-
-
-# The kind of every top-level key but the schedule and the frame interval; an
-# absent key takes SynthConfig's default.
-_CONFIG_KINDS = {
-    "seed": int,
-    "n_days": int,
-    "n_identities": int,
-    "identity_center_spread": float,
-    "within_person_noise": float,
-    "dropout_rate": float,
-    "coverage_start": time,
-    "coverage_end": time,
-    "wearer_id": str,
-    "base_day": date,
-}
-# Every key a config may hold, and every key a schedule entry may hold.
-_CONFIG_KEYS = frozenset((*_CONFIG_KINDS, "frame_interval_seconds", "schedule"))
-_SCHEDULE_KEYS = frozenset(("identity", "day", "start", "end"))
+    values = {}
+    for key, kind in _field_kinds(ScheduledInteraction).items():
+        if key not in ev:
+            raise SynthConfigError(f"schedule[{i}] lacks key {key!r}")
+        values[key] = _typed(f"schedule[{i}].{key}", ev[key], kind)
+    return ScheduledInteraction(**values)
 
 
 def config_from_dict(record: Mapping) -> SynthConfig:
     if not isinstance(record, Mapping):
         raise SynthConfigError("synth config must hold a JSON object")
+    kinds = _field_kinds(SynthConfig)
+    # Every key but the two tuples, the frame interval and the schedule, comes
+    # first; an absent key takes SynthConfig's default.
     values = {
-        key: _typed(key, record[key], kind) for key, kind in _CONFIG_KINDS.items() if key in record
+        key: _typed(key, record[key], kind)
+        for key, kind in kinds.items()
+        if kind in _JSON_KINDS and key in record
     }
     if "frame_interval_seconds" in record:
         interval = record["frame_interval_seconds"]
@@ -309,37 +298,29 @@ def config_from_dict(record: Mapping) -> SynthConfig:
         **values, schedule=tuple(_scheduled_interaction(i, ev) for i, ev in enumerate(schedule))
     )
     # Checked last, so that an input rejected before keeps its message.
-    stray = [key for key in record if key not in _CONFIG_KEYS]
+    stray = [key for key in record if key not in kinds]
+    entry_keys = _field_kinds(ScheduledInteraction)
     for i, ev in enumerate(schedule):
-        stray += (f"schedule[{i}].{key}" for key in ev if key not in _SCHEDULE_KEYS)
+        stray += (f"schedule[{i}].{key}" for key in ev if key not in entry_keys)
     if stray:
         raise SynthConfigError(f"unknown config key {stray[0]!r}")
     return config
 
 
+def _json_form(value: object) -> object:
+    """``value`` as JSON holds it: a dataclass as an object of its fields, a tuple as
+    a list, a time or a date as its ISO string."""
+    if is_dataclass(value):
+        return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_json_form(v) for v in value]
+    if isinstance(value, (time, date)):
+        return value.isoformat()
+    return value
+
+
 def config_to_dict(config: SynthConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "n_days": config.n_days,
-        "n_identities": config.n_identities,
-        "identity_center_spread": config.identity_center_spread,
-        "within_person_noise": config.within_person_noise,
-        "frame_interval_seconds": list(config.frame_interval_seconds),
-        "schedule": [
-            {
-                "identity": ev.identity,
-                "day": ev.day,
-                "start": ev.start.isoformat(),
-                "end": ev.end.isoformat(),
-            }
-            for ev in config.schedule
-        ],
-        "dropout_rate": config.dropout_rate,
-        "coverage_start": config.coverage_start.isoformat(),
-        "coverage_end": config.coverage_end.isoformat(),
-        "wearer_id": config.wearer_id,
-        "base_day": config.base_day.isoformat(),
-    }
+    return _json_form(config)
 
 
 def dump_config(config: SynthConfig) -> str:

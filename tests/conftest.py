@@ -75,11 +75,14 @@ def rng():
 # --- corrupted line-record files ---------------------------------------------------
 
 # Values a corrupted record may hold in a field: near-valid days and instants
-# (out of range, other days, no offset, other offsets), negative, huge, fractional
-# and boolean numbers, and values of every other JSON type.
+# (out of range, other days, no offset, other offsets), wearer ids that cannot
+# name a chart file, negative, huge, fractional and boolean numbers, and values
+# of every other JSON type.
 ODD_VALUES = (
     "",
     "x",
+    "../x",
+    "overlay",
     "2024-03-04",
     "2024-03-05",
     "2024-02-30",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import posixpath
 import re
 import sys
 from datetime import date, datetime, timedelta
@@ -450,6 +451,16 @@ def _content_lines(lines: list[str]):
             yield no, line.strip()
 
 
+def naive_chart_fault(wearer: str) -> str | None:
+    """The message that rejects a wearer id whose radar chart file ``<id>.svg`` would
+    not be a file of its own in the chart directory, beside ``overlay.svg``; None if
+    it would be."""
+    name = f"{wearer}.svg"
+    if posixpath.split(name) == ("", name) and "\0" not in name and name != "overlay.svg":
+        return None
+    return f"wearer_id {wearer!r} cannot name a chart file: it holds '/' or NUL, or is 'overlay'"
+
+
 def naive_observation_fault(lines: list[str]) -> tuple[int, str] | None:
     """The line number and message of the first faulty observation line, checking each
     line's rules in the order the reader applies them; None if all are valid."""
@@ -489,6 +500,8 @@ def naive_observation_fault(lines: list[str]) -> tuple[int, str] | None:
                 f"{wearer!r}, first seen on line {first_seen[wearer, image, face]}"
             )
         first_seen[wearer, image, face] = no
+        if fault := naive_chart_fault(wearer):
+            return no, fault
     return None
 
 
@@ -521,6 +534,8 @@ def naive_coverage_fault(lines: list[str]) -> tuple[int, str] | None:
         key = (record["wearer_id"], day)
         if key in seen:
             return no, f"duplicate coverage entry for {key}"
+        if fault := naive_chart_fault(record["wearer_id"]):
+            return no, fault
         seen.add(key)
     return None
 
@@ -732,7 +747,8 @@ def naive_config_fault(doc: dict) -> str | None:
 
 def naive_traits_fault(doc, path) -> str | None:
     """The message that rejects a traits report read from ``path``: its record list,
-    each record's keys in field order, then its provenance; None if it is valid.
+    each record's keys in field order and then its wearer id, which must name its
+    chart and no earlier record's, then its provenance; None if it is valid.
     Every key but ``no_interactions`` is required."""
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
@@ -749,6 +765,12 @@ def naive_traits_fault(doc, path) -> str | None:
             fault = _naive_kind_fault(f"{where}: key {key!r}", record[key], kinds)
             if fault:
                 return fault
+        wearer = record["wearer_id"]
+        if fault := naive_chart_fault(wearer):
+            return f"{where}: {fault}"
+        earlier = [r["wearer_id"] for r in records[:i]]
+        if wearer in earlier:
+            return f"{where}: wearer_id {wearer!r} repeats wearers[{earlier.index(wearer)}]"
     provenance = doc.get("provenance", {})
     fault = _naive_kind_fault(f"traits file {path}: key 'provenance'", provenance, ("dict",))
     if fault:

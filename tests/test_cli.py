@@ -26,6 +26,7 @@ from egosocial.ingest import serialize_observations
 from oracles import (
     RUN_CONFIG_KINDS,
     TRAITS_KINDS,
+    naive_chart_fault,
     naive_config_fault,
     naive_document_fault,
     naive_traits_fault,
@@ -485,6 +486,73 @@ def test_render_reads_a_report_without_a_fingerprint_as_unspecified(
     assert "unspecified" in (tmp_path / "charts" / "overlay.svg").read_text()
 
 
+def _files_outside(root: Path, out: Path) -> list[Path]:
+    return sorted(p for p in root.rglob("*") if out not in p.parents and p != out)
+
+
+# Wearer ids whose radar chart would not be a file of its own in the chart
+# directory: "{pwned}" stands for an absolute path beside the run's directory.
+_UNCHARTABLE_IDS = pytest.mark.parametrize(
+    "wearer", ["{pwned}", "../../x", "a/b", "nul\0", "overlay"],
+    ids=["absolute", "climbing", "nested", "nul", "overlay"],
+)
+
+
+@_UNCHARTABLE_IDS
+@pytest.mark.parametrize("source", ["observations", "coverage"])
+def test_a_wearer_id_that_cannot_name_its_chart_is_rejected_on_its_line(
+    tmp_path, synth_dir, capsys, source, wearer
+):
+    wearer = wearer.format(pwned=tmp_path / "pwned")
+    path = synth_dir / f"{source}.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1:] = [json.dumps(dict(json.loads(line), wearer_id=wearer)) for line in lines[1:]]
+    path.write_text("\n".join(lines) + "\n")
+    io = ["--obs", str(synth_dir / "observations.jsonl")]
+    if source == "coverage":
+        io += ["--coverage", str(path)]
+    out = tmp_path / "run"
+    before = _files_outside(tmp_path, out)
+    capsys.readouterr()
+    assert main(["pipeline", *io, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: line 2: {naive_chart_fault(wearer)}"
+    assert _files_outside(tmp_path, out) == before
+
+
+@_UNCHARTABLE_IDS
+def test_render_rejects_a_wearer_id_that_cannot_name_its_chart(tmp_path, synth_dir, capsys, wearer):
+    wearer = wearer.format(pwned=tmp_path / "pwned")
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["pipeline", "--obs", obs, "--out", str(tmp_path / "pipe")]) == 0
+    doc = json.loads((tmp_path / "pipe" / "traits.json").read_text())
+    doc["wearers"][0]["wearer_id"] = wearer
+    traits = tmp_path / "traits.json"
+    traits.write_text(json.dumps(doc))
+    out = tmp_path / "charts"
+    before = _files_outside(tmp_path, out)
+    capsys.readouterr()
+    assert main(["render", "--traits", str(traits), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: traits file {traits}: wearers[0]: {naive_chart_fault(wearer)}\n"
+    )
+    assert _files_outside(tmp_path, out) == before
+
+
+def test_render_rejects_a_wearer_id_named_twice(tmp_path, synth_dir, capsys):
+    obs = str(synth_dir / "observations.jsonl")
+    assert main(["pipeline", "--obs", obs, "--out", str(tmp_path / "pipe")]) == 0
+    doc = json.loads((tmp_path / "pipe" / "traits.json").read_text())
+    doc["wearers"] += [dict(doc["wearers"][0], persons_per_day=9.0)]
+    traits = tmp_path / "traits.json"
+    traits.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["render", "--traits", str(traits), "--out", str(tmp_path / "charts")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: traits file {traits}: wearers[1]: wearer_id 'wearer-0' repeats wearers[0]\n"
+    )
+    assert not (tmp_path / "charts").exists()
+
+
 def test_config_file_overrides_flags(tmp_path, synth_dir, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"cut_threshold": 0.05}))
@@ -824,7 +892,10 @@ _TRAITS_RECORD = {
 }
 _TRAITS_DOC = {
     "provenance": {"fingerprint": "f"},
-    "wearers": [_TRAITS_RECORD, {k: v for k, v in _TRAITS_RECORD.items() if k != "no_interactions"}],
+    "wearers": [
+        _TRAITS_RECORD,
+        {**{k: v for k, v in _TRAITS_RECORD.items() if k != "no_interactions"}, "wearer_id": "u2"},
+    ],
 }
 # Where a corrupted traits report may hold an odd value: a key of either record,
 # the provenance, its fingerprint, or the record list itself.

@@ -723,6 +723,10 @@ _SPLIT_CASES = {
         [_numbered_obs(i) for i in range(6)] + [_numbered_obs(6).replace(b"img", b"\xe9mg")],
         b"\n", True, 2,
     ),
+    "uncharted-wearer-in-a-later-part": (
+        [_numbered_obs(i) for i in range(6)] + [_numbered_obs(6, wearer="../x")],
+        b"\n", True, 3,
+    ),
 }
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from datetime import time, timedelta
+import json
+from dataclasses import MISSING, fields
+from datetime import date, time, timedelta
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from egosocial.synth import (
     SynthConfigError,
     config_from_dict,
     config_to_dict,
+    dump_config,
     generate,
 )
 
@@ -158,15 +161,69 @@ def test_unknown_identity_rejected():
         )
 
 
+# A config that sets every field away from its default, and the text
+# dump_config writes for it.
+_EVERY_FIELD = SynthConfig(
+    seed=11,
+    n_days=2,
+    n_identities=3,
+    identity_center_spread=0.4,
+    within_person_noise=0.05,
+    frame_interval_seconds=(4.0, 6.5),
+    schedule=(
+        ScheduledInteraction(2, 1, time(8, 30, 15), time(8, 50)),
+        ScheduledInteraction(0, 0, time(12, 0), time(12, 20, 30)),
+    ),
+    dropout_rate=0.125,
+    coverage_start=time(8, 15, 30),
+    coverage_end=time(20, 45),
+    wearer_id="wearer-\u00e97",
+    base_day=date(2023, 12, 31),
+)
+_EVERY_FIELD_DUMP = """\
+{
+  "base_day": "2023-12-31",
+  "coverage_end": "20:45:00",
+  "coverage_start": "08:15:30",
+  "dropout_rate": 0.125,
+  "frame_interval_seconds": [
+    4.0,
+    6.5
+  ],
+  "identity_center_spread": 0.4,
+  "n_days": 2,
+  "n_identities": 3,
+  "schedule": [
+    {
+      "day": 1,
+      "end": "08:50:00",
+      "identity": 2,
+      "start": "08:30:15"
+    },
+    {
+      "day": 0,
+      "end": "12:20:30",
+      "identity": 0,
+      "start": "12:00:00"
+    }
+  ],
+  "seed": 11,
+  "wearer_id": "wearer-\\u00e97",
+  "within_person_noise": 0.05
+}
+"""
+
+
 def test_config_dict_round_trip():
-    config = SynthConfig(
-        seed=5,
-        n_days=2,
-        n_identities=3,
-        schedule=_hourly_schedule(3),
-        dropout_rate=0.25,
+    assert all(
+        getattr(_EVERY_FIELD, f.name) != f.default
+        for f in fields(SynthConfig)
+        if f.default is not MISSING
     )
-    assert config_from_dict(config_to_dict(config)) == config
+    text = dump_config(_EVERY_FIELD)
+    assert text == _EVERY_FIELD_DUMP
+    assert config_from_dict(json.loads(text)) == _EVERY_FIELD
+    assert config_from_dict(config_to_dict(_EVERY_FIELD)) == _EVERY_FIELD
 
 
 def test_spread_controls_center_distances():
