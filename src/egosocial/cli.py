@@ -23,9 +23,9 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
-import typing
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO
 
@@ -56,6 +56,8 @@ from .ingest import (
     _chart_name_fault,
     _decode,
     _iter_lines,
+    _json_document,
+    _read_fields,
     load_dataset,
     serialize_coverage,
     serialize_observations,
@@ -96,6 +98,10 @@ class RunConfig:
         self.ahc_params()  # raises on bad metric/cut
         self.thresholds()
         self.segmentation_params()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
 
     def ahc_params(self) -> AhcParams:
         return AhcParams(self.metric, self.cut_threshold, normalize_descriptors=self.normalize)
@@ -121,28 +127,6 @@ class RunConfig:
         return asdict(self)
 
 
-def _allowed_types(hint: object) -> tuple[type, ...]:
-    return typing.get_args(hint) or (hint,)
-
-
-def _accepts(hint: object, value: object) -> bool:
-    """Whether a JSON value fits a record field's annotation."""
-    allowed = set(_allowed_types(hint))
-    if float in allowed:
-        allowed.add(int)  # JSON writes whole numbers without a fraction
-    if isinstance(value, bool):  # bool is an int subclass; only bool fields take it
-        return bool in allowed
-    return type(value) in allowed
-
-
-def _check_value(name: str, hint: object, value: object) -> None:
-    """Reject a JSON value that does not fit the annotation ``hint``; ``name`` says where it is."""
-    if not _accepts(hint, value):
-        names = ("null" if t is type(None) else t.__name__ for t in _allowed_types(hint))
-        expected = " or ".join(names)
-        raise ValueError(f"{name} must be {expected}, got {value!r}")
-
-
 def _read_document(path: Path, what: str) -> object:
     """The JSON value of a one-document input, named ``what`` in a reject message; an
     undecodable byte is named by line and column."""
@@ -152,26 +136,18 @@ def _read_document(path: Path, what: str) -> object:
     return _decode(text, what)
 
 
-def _read_config_overrides(path: Path) -> dict:
-    """Parse a --config file into RunConfig overrides, checking keys and value types."""
-    overrides = _read_document(path, f"config {path}")
-    if not isinstance(overrides, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    hints = typing.get_type_hints(RunConfig)
-    for key, value in overrides.items():
-        if key not in hints:
-            raise ValueError(f"unknown config key {key!r}")
-        _check_value(f"config key {key!r}", hints[key], value)
-    return overrides
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    """The RunConfig fields a command line sets: its flags, then its --config file."""
+def _settings(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """The run's parameters, its flags overridden by its --config file, and the names
+    of those that either sets."""
     names = [f.name for f in fields(RunConfig)]
-    settings = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    flags = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    overrides = {}
     if getattr(args, "config", None):
-        settings.update(_read_config_overrides(Path(args.config)))
-    return settings
+        path = Path(args.config)
+        overrides = _read_document(path, f"config {path}")
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
+    return _read_fields(RunConfig, overrides, given=flags), {*flags, *overrides}
 
 
 def _announce(config: RunConfig, **settled) -> None:
@@ -201,7 +177,7 @@ def _load(args: argparse.Namespace) -> Dataset:
 
 def _begin(args: argparse.Namespace) -> tuple[RunConfig, Dataset]:
     """Settle and announce the run's parameters, then load its observations."""
-    config = RunConfig(**_settings(args))
+    config, _ = _settings(args)
     _announce(config)
     return config, _load(args)
 
@@ -263,8 +239,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` as sorted, indented JSON; a dataclass record in it is written as its fields."""
-    _write(path, json.dumps(doc, indent=2, sort_keys=True, default=vars) + "\n")
+    _write(path, _json_document(doc))
 
 
 def _provenance(config: RunConfig, **settled) -> dict:
@@ -316,27 +291,23 @@ def _write_eval(out: Path, results: dict[str, MethodEvaluation], prov: dict) -> 
 
 
 def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
-    """The records and provenance fingerprint of a traits report; names a missing key,
-    a value whose JSON type does not fit its field, and a wearer id that cannot name
-    its chart or that an earlier record names. A report without a provenance, or a
-    provenance without a fingerprint, is "unspecified"."""
+    """The records and provenance fingerprint of a traits report; each record is read
+    by :func:`ingest._read_fields`, then its wearer id must name its chart and no
+    earlier record's. A report without a provenance, or a provenance without a
+    fingerprint, is "unspecified"."""
     doc = _read_document(path, f"traits file {path}")
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         raise ValueError(f"traits file {path} lacks key 'wearers' (a list of records)")
-    hints = typing.get_type_hints(SocialTraits)
     traits = []
     first: dict[str, int] = {}  # the record index of each wearer id
     for i, record in enumerate(records):
         where = f"traits file {path}: wearers[{i}]"
-        if not isinstance(record, dict):
-            raise ValueError(f"{where} must be a JSON object")
-        for field in fields(SocialTraits):
-            if field.name in record:
-                _check_value(f"{where}: key {field.name!r}", hints[field.name], record[field.name])
-            elif field.default is MISSING:
-                raise ValueError(f"{where} lacks key {field.name!r}")
-        wearer_id = record["wearer_id"]
+        try:
+            entry = _read_fields(SocialTraits, record, f"wearers[{i}]", key="key")
+        except ValueError as exc:
+            raise ValueError(f"traits file {path}: {exc}") from None
+        wearer_id = entry.wearer_id
         fault = _chart_name_fault(wearer_id)
         if fault:
             raise ValueError(f"{where}: {fault}")
@@ -345,11 +316,18 @@ def _read_traits(path: Path) -> tuple[list[SocialTraits], str]:
                 f"{where}: wearer_id {wearer_id!r} repeats wearers[{first[wearer_id]}]"
             )
         first[wearer_id] = i
-        traits.append(SocialTraits(**{name: record[name] for name in hints if name in record}))
+        traits.append(entry)
     provenance = doc.get("provenance", {})
-    _check_value(f"traits file {path}: key 'provenance'", dict, provenance)
+    if not isinstance(provenance, dict):
+        raise ValueError(
+            f"traits file {path}: key 'provenance' must be a JSON object, got {provenance!r}"
+        )
     fingerprint = provenance.get("fingerprint", "unspecified")
-    _check_value(f"traits file {path}: key 'provenance.fingerprint'", str, fingerprint)
+    if not isinstance(fingerprint, str):
+        raise ValueError(
+            f"traits file {path}: key 'provenance.fingerprint' must be a string, "
+            f"got {fingerprint!r}"
+        )
     return traits, fingerprint
 
 
@@ -442,10 +420,9 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    settings = _settings(args)
-    config = RunConfig(**settings)
+    config, named = _settings(args)
     # A method named by flag or by config is the only one scored.
-    if "method" in settings:
+    if "method" in named:
         methods = [config.method]
     else:
         methods = [m for m in METHODS if m != "spectral" or config.k is not None]

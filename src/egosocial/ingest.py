@@ -49,11 +49,26 @@ with json's message and line. :func:`_decode` alone decodes whole
 documents and the clustering header. Identifiers are JSON strings, checked,
 never coerced. A new check goes after a reader's existing ones, so an input
 rejected before keeps its message and line.
+
+The JSON documents the toolkit reads, the run config, the synth config and
+each record of a traits report, are read into their dataclasses by
+:func:`_read_fields`, and :data:`_KINDS` alone decides which JSON value a
+field takes. A bool field takes ``true`` or ``false``; an int field a JSON
+integer, never a bool; a float field a finite number, an integer read as a
+float; a str field a string; a time or date field an ISO string. A field
+``X | None`` also takes ``null``; ``tuple[X, X]`` takes a list of two and
+``tuple[X, ...]`` a list; a dataclass field takes an object, read the same
+way. A key is required exactly when its field has no default. Checks run in
+one order: every key's kind, in field order, each nested object built (and
+its own checks run) as it is read; then the dataclass's own checks; then the
+first key that names no field, the object's own keys before those of the
+objects in its fields. :func:`_json_document` alone writes a document.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import io
 import json
 import math
@@ -65,10 +80,11 @@ import stat
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from datetime import date, datetime, time, timedelta
 from functools import cached_property
 from typing import IO, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import orjson
@@ -425,6 +441,103 @@ def _is_finite_number(value: object) -> bool:
         return False
 
 
+def _is_str(value: object) -> bool:
+    return type(value) is str
+
+
+class _Kind(NamedTuple):
+    """What a JSON value must be to fill a field of one type, and how it is read."""
+
+    description: str  # as a reject names it
+    plural: str  # the same, for the entries of a pair
+    fits: Callable[[object], bool]
+    read: Callable[[object], object]  # may raise ValueError, a reject too
+
+
+# The only place that decides which JSON value a dataclass field takes.
+_KINDS = {
+    bool: _Kind("true or false", "booleans", lambda v: type(v) is bool, bool),
+    int: _Kind("an integer", "integers", lambda v: type(v) is int, int),
+    float: _Kind("a finite number", "numbers", _is_finite_number, float),
+    str: _Kind("a string", "strings", _is_str, str),
+    time: _Kind("an ISO time string", "ISO time strings", _is_str, time.fromisoformat),
+    date: _Kind("an ISO date string", "ISO date strings", _is_str, date.fromisoformat),
+}
+
+
+def _read_value(kind: object, value: object, name: str, key: str, unknown: list[str]) -> object:
+    """``value`` read as the field type ``kind``; a reject names it as ``{key} {name!r}``.
+
+    ``kind`` is a type of ``_KINDS``, ``X | None``, ``tuple[X, X]``,
+    ``tuple[X, ...]`` or a dataclass; the key path of every key that names no
+    field of a nested object is added to ``unknown``.
+    """
+    if is_dataclass(kind):
+        return kind(**_field_values(kind, value, name, key, unknown))
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        if args[-1] is Ellipsis:
+            if not isinstance(value, list):
+                raise IngestError(f"{key} {name!r} must be a list, got {value!r}")
+            args = (args[0],) * len(value)
+        elif not (isinstance(value, list) and len(value) == 2):
+            raise IngestError(
+                f"{key} {name!r} must be a list of two {_KINDS[args[0]].plural}, got {value!r}"
+            )
+        return tuple(
+            _read_value(arg, entry, f"{name}[{i}]", key, unknown)
+            for i, (arg, entry) in enumerate(zip(args, value))
+        )
+    nullable = type(None) in args
+    if nullable:
+        if value is None:
+            return None
+        (kind,) = (arg for arg in args if arg is not type(None))
+    description, _, fits, read = _KINDS[kind]
+    if fits(value):
+        with contextlib.suppress(ValueError):  # not an ISO time or date
+            return read(value)
+    or_null = " or null" if nullable else ""
+    raise IngestError(f"{key} {name!r} must be {description}{or_null}, got {value!r}")
+
+
+def _field_values(
+    cls: type, record: object, name: str, key: str, unknown: list[str]
+) -> dict[str, object]:
+    """The value of each field of the dataclass ``cls`` that the JSON object ``record``
+    holds, read as its type; ``name`` is the object's key path, "" for a document."""
+    if not isinstance(record, dict):
+        raise IngestError(f"{name} must be a JSON object")
+    prefix = f"{name}." if name else ""
+    hints = get_type_hints(cls)
+    unknown.extend(prefix + k for k in record if k not in hints)
+    values = {}
+    for f in fields(cls):
+        if f.name in record:
+            path = prefix + f.name
+            values[f.name] = _read_value(hints[f.name], record[f.name], path, key, unknown)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise IngestError(f"{name} lacks key {f.name!r}")
+    return values
+
+
+def _read_fields(
+    cls: type, record: object, name: str = "", key: str = "config key", given: Mapping | None = None
+) -> object:
+    """The dataclass ``cls`` built from the JSON object ``record`` over the values
+    ``given``, checked in the order the module docstring states.
+
+    ``name`` is the object's key path, "" for a whole document; a reject names a
+    value as ``{key} 'path'`` and a key that names no field as ``unknown {key}
+    'path'``.
+    """
+    unknown: list[str] = []
+    built = cls(**{**(given or {}), **_field_values(cls, record, name, key, unknown)})
+    if unknown:
+        raise IngestError(f"unknown {key} {unknown[0]!r}")
+    return built
+
+
 def _non_negative_int(record: dict, key: str, line_no: int) -> int:
     """``record[key]`` if it is a JSON integer >= 0 (not a bool, not a float)."""
     value = record[key]
@@ -493,15 +606,27 @@ def _see_once(seen: dict[ObservationKey, int], key: ObservationKey, line_no: int
     seen[key] = line_no
 
 
+# The most bytes a file name may have on common file systems.
+_NAME_MAX = 255
+
+
 def _chart_name_fault(wearer_id: str) -> str | None:
     """Why ``wearer_id`` cannot name its own radar chart, ``<wearer_id>.svg`` beside
-    ``overlay.svg``, or None: a '/' or NUL would put the chart elsewhere or nowhere."""
+    ``overlay.svg``, or None: a '/' or NUL would put the chart elsewhere or nowhere,
+    and a lone surrogate or a name past ``_NAME_MAX`` UTF-8 bytes cannot be written."""
+    try:
+        size = len(wearer_id.encode()) + len(".svg")
+    except UnicodeEncodeError:  # a lone surrogate
+        size = None
     if "/" in wearer_id or "\0" in wearer_id or wearer_id == "overlay":
-        return (
-            f"wearer_id {wearer_id!r} cannot name a chart file: "
-            "it holds '/' or NUL, or is 'overlay'"
-        )
-    return None
+        why = "it holds '/' or NUL, or is 'overlay'"
+    elif size is None:
+        why = "it holds a lone surrogate"
+    elif size > _NAME_MAX:
+        why = f"'<wearer_id>.svg' is {size} UTF-8 bytes, over {_NAME_MAX}"
+    else:
+        return None
+    return f"wearer_id {wearer_id!r} cannot name a chart file: {why}"
 
 
 def _sort_key(obs: FaceObservation):
@@ -859,6 +984,21 @@ def _jsonl(records: Iterable[dict]) -> str:
     """The line-record form :func:`_records` reads: one JSON object a line, each ended."""
     lines = [json.dumps(record) for record in records]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _json_default(value: object) -> object:
+    """The JSON form of what json cannot write itself: a dataclass is its fields,
+    a time or a date its ISO string."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, (time, date)):
+        return value.isoformat()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json_document(doc: object) -> str:
+    """``doc`` as a JSON document: sorted keys, indented two spaces, ended by a newline."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def serialize_observations(dataset: Dataset) -> str:

@@ -14,11 +14,9 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-import contextlib
-import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Mapping, Sequence, get_type_hints
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +26,10 @@ from .ingest import (
     Dataset,
     DayCoverage,
     FaceObservation,
-    _is_finite_number,
+    _chart_name_fault,
+    _json_document,
     _jsonl,
+    _read_fields,
 )
 
 
@@ -55,18 +55,19 @@ class ScheduledInteraction:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    # A config file is read in field order, so the two lists come last.
     seed: int = 0
     n_days: int = 1
     n_identities: int = 1
     identity_center_spread: float = 1.0  # 1: near-orthogonal centers; ~0: coincident
     within_person_noise: float = 0.02  # per-component sigma before re-normalization
-    frame_interval_seconds: tuple[float, float] = (20.0, 30.0)
-    schedule: tuple[ScheduledInteraction, ...] = ()
     dropout_rate: float = 0.0
     coverage_start: time = time(9, 0)
     coverage_end: time = time(21, 0)
     wearer_id: str = "wearer-0"
     base_day: date = date(2024, 3, 4)
+    frame_interval_seconds: tuple[float, float] = (20.0, 30.0)
+    schedule: tuple[ScheduledInteraction, ...] = ()
 
     def __post_init__(self):
         lo, hi = self.frame_interval_seconds
@@ -92,6 +93,9 @@ class SynthConfig:
                     f"scheduled event {ev} lies outside daily coverage "
                     f"[{self.coverage_start}, {self.coverage_end}]"
                 )
+        fault = _chart_name_fault(self.wearer_id)
+        if fault:
+            raise SynthConfigError(fault)
 
 
 @dataclass(frozen=True)
@@ -225,106 +229,15 @@ def generate(config: SynthConfig) -> SynthDataset:
 # config file form
 
 
-def _is_str(value: object) -> bool:
-    return type(value) is str
-
-
-# What each config value must be in JSON: its description, the test the JSON
-# value passes, and how it is read.
-_JSON_KINDS = {
-    int: ("an integer", lambda v: type(v) is int, int),
-    float: ("a finite number", _is_finite_number, float),
-    str: ("a string", _is_str, str),
-    time: ("an ISO time string", _is_str, time.fromisoformat),
-    date: ("an ISO date string", _is_str, date.fromisoformat),
-}
-
-
-def _typed(name: str, value: object, kind: type) -> object:
-    """``value`` read as ``kind``; any other JSON value is rejected by ``name``.
-
-    Integers take only JSON integers and numbers take finite integers or floats,
-    never bools; times and dates take ISO strings.
-    """
-    description, fits, read = _JSON_KINDS[kind]
-    if fits(value):
-        with contextlib.suppress(ValueError):  # not an ISO time or date
-            return read(value)
-    raise SynthConfigError(f"config key {name!r} must be {description}, got {value!r}")
-
-
-def _field_kinds(cls: type) -> dict[str, object]:
-    """The key and type of each field of the dataclass ``cls``, in field order."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-def _scheduled_interaction(i: int, ev: object) -> ScheduledInteraction:
-    if not isinstance(ev, Mapping):
-        raise SynthConfigError(f"schedule[{i}] must be a JSON object")
-    values = {}
-    for key, kind in _field_kinds(ScheduledInteraction).items():
-        if key not in ev:
-            raise SynthConfigError(f"schedule[{i}] lacks key {key!r}")
-        values[key] = _typed(f"schedule[{i}].{key}", ev[key], kind)
-    return ScheduledInteraction(**values)
-
-
 def config_from_dict(record: Mapping) -> SynthConfig:
+    """The config a synth config document holds, read by :func:`ingest._read_fields`."""
     if not isinstance(record, Mapping):
         raise SynthConfigError("synth config must hold a JSON object")
-    kinds = _field_kinds(SynthConfig)
-    # Every key but the two tuples, the frame interval and the schedule, comes
-    # first; an absent key takes SynthConfig's default.
-    values = {
-        key: _typed(key, record[key], kind)
-        for key, kind in kinds.items()
-        if kind in _JSON_KINDS and key in record
-    }
-    if "frame_interval_seconds" in record:
-        interval = record["frame_interval_seconds"]
-        if not (isinstance(interval, list) and len(interval) == 2):
-            raise SynthConfigError(
-                "config key 'frame_interval_seconds' must be a list of two numbers, "
-                f"got {interval!r}"
-            )
-        values["frame_interval_seconds"] = tuple(
-            _typed(f"frame_interval_seconds[{i}]", v, float) for i, v in enumerate(interval)
-        )
-    schedule = record.get("schedule", [])
-    if not isinstance(schedule, list):
-        raise SynthConfigError(f"config key 'schedule' must be a list, got {schedule!r}")
-    config = SynthConfig(
-        **values, schedule=tuple(_scheduled_interaction(i, ev) for i, ev in enumerate(schedule))
-    )
-    # Checked last, so that an input rejected before keeps its message.
-    stray = [key for key in record if key not in kinds]
-    entry_keys = _field_kinds(ScheduledInteraction)
-    for i, ev in enumerate(schedule):
-        stray += (f"schedule[{i}].{key}" for key in ev if key not in entry_keys)
-    if stray:
-        raise SynthConfigError(f"unknown config key {stray[0]!r}")
-    return config
-
-
-def _json_form(value: object) -> object:
-    """``value`` as JSON holds it: a dataclass as an object of its fields, a tuple as
-    a list, a time or a date as its ISO string."""
-    if is_dataclass(value):
-        return {f.name: _json_form(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_json_form(v) for v in value]
-    if isinstance(value, (time, date)):
-        return value.isoformat()
-    return value
-
-
-def config_to_dict(config: SynthConfig) -> dict:
-    return _json_form(config)
+    return _read_fields(SynthConfig, record)
 
 
 def dump_config(config: SynthConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
+    return _json_document(config)
 
 
 def serialize_schedule_truth(events: Sequence[RealizedEvent]) -> str:

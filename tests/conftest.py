@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from datetime import date, datetime, time, timedelta, timezone
@@ -72,17 +73,37 @@ def rng():
     return np.random.default_rng(20240304)
 
 
+def config_to_dict(config) -> dict:
+    """The JSON object of a synth config file that holds ``config``: a dataclass as an
+    object of its fields, a tuple as a list, a time or a date as its ISO string."""
+
+    def form(value):
+        if dataclasses.is_dataclass(value):
+            return {f.name: form(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        if isinstance(value, tuple):
+            return [form(v) for v in value]
+        if isinstance(value, (time, date)):
+            return value.isoformat()
+        return value
+
+    return form(config)
+
+
 # --- corrupted line-record files ---------------------------------------------------
 
 # Values a corrupted record may hold in a field: near-valid days and instants
 # (out of range, other days, no offset, other offsets), wearer ids that cannot
-# name a chart file, negative, huge, fractional and boolean numbers, and values
-# of every other JSON type.
+# name a chart file (a path, "overlay", a lone surrogate, a chart name of 256
+# UTF-8 bytes) and one whose chart name has exactly 255, negative, huge,
+# fractional and boolean numbers, and values of every other JSON type.
 ODD_VALUES = (
     "",
     "x",
     "../x",
     "overlay",
+    "w\ud800x",
+    "\u00e9" * 126,
+    "w" * 251,
     "2024-03-04",
     "2024-03-05",
     "2024-02-30",

@@ -15,7 +15,7 @@ import math
 import posixpath
 import re
 import sys
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, time, timedelta
 from typing import Sequence
 
 import numpy as np
@@ -453,12 +453,20 @@ def _content_lines(lines: list[str]):
 
 def naive_chart_fault(wearer: str) -> str | None:
     """The message that rejects a wearer id whose radar chart file ``<id>.svg`` would
-    not be a file of its own in the chart directory, beside ``overlay.svg``; None if
-    it would be."""
+    not be a file of its own in the chart directory, beside ``overlay.svg``, or could
+    not be written: its name is not UTF-8 or is longer than 255 bytes; None if it
+    would be and could."""
     name = f"{wearer}.svg"
-    if posixpath.split(name) == ("", name) and "\0" not in name and name != "overlay.svg":
-        return None
-    return f"wearer_id {wearer!r} cannot name a chart file: it holds '/' or NUL, or is 'overlay'"
+    cannot = f"wearer_id {wearer!r} cannot name a chart file"
+    if posixpath.split(name) != ("", name) or "\0" in name or name == "overlay.svg":
+        return f"{cannot}: it holds '/' or NUL, or is 'overlay'"
+    try:
+        encoded = name.encode("utf-8")
+    except UnicodeEncodeError:
+        return f"{cannot}: it holds a lone surrogate"
+    if len(encoded) > 255:
+        return f"{cannot}: '<wearer_id>.svg' is {len(encoded)} UTF-8 bytes, over 255"
+    return None
 
 
 def naive_observation_fault(lines: list[str]) -> tuple[int, str] | None:
@@ -637,6 +645,7 @@ def naive_clustering_fault(lines: list[str], dataset) -> tuple[int | None, str] 
 # The JSON kinds each key of a one-document input takes, in the order of the
 # annotations they stand for: a float key also takes a JSON integer, and only a
 # bool key takes true or false.
+# The kinds of JSON value each field of a document takes, in field order.
 RUN_CONFIG_KINDS = {
     "method": ("str",),
     "metric": ("str",),
@@ -662,22 +671,72 @@ TRAITS_KINDS = {
     "days_analyzed": ("int",),
     "no_interactions": ("bool",),
 }
+SYNTH_CONFIG_KINDS = {
+    "seed": ("int",),
+    "n_days": ("int",),
+    "n_identities": ("int",),
+    "identity_center_spread": ("float",),
+    "within_person_noise": ("float",),
+    "dropout_rate": ("float",),
+    "coverage_start": ("time",),
+    "coverage_end": ("time",),
+    "wearer_id": ("str",),
+    "base_day": ("date",),
+    "frame_interval_seconds": ("pair of floats",),
+    "schedule": ("list of entries",),
+}
+SCHEDULE_ENTRY_KINDS = {
+    "identity": ("int",),
+    "day": ("int",),
+    "start": ("time",),
+    "end": ("time",),
+}
+
+# How a reject names each kind.
+_KIND_WORDS = {
+    "bool": "true or false",
+    "int": "an integer",
+    "float": "a finite number",
+    "str": "a string",
+    "time": "an ISO time string",
+    "date": "an ISO date string",
+    "null": "null",
+    "dict": "a JSON object",
+}
+
+
+def _naive_fits(value, kind: str) -> bool:
+    if kind == "bool":
+        return value is True or value is False
+    if kind == "null":
+        return value is None
+    if kind == "dict":
+        return isinstance(value, dict)
+    if kind == "str":
+        return isinstance(value, str)
+    if kind in ("time", "date"):
+        if not isinstance(value, str):
+            return False
+        try:
+            (time if kind == "time" else date).fromisoformat(value)
+        except ValueError:
+            return False
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    try:  # a float field: a finite number, an integer too if a float can hold it
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 def _naive_kind_fault(name: str, value, kinds: tuple[str, ...]) -> str | None:
-    if isinstance(value, bool):
-        fits = "bool" in kinds
-    elif value is None:
-        fits = "null" in kinds
-    elif isinstance(value, int):
-        fits = "int" in kinds or "float" in kinds
-    elif isinstance(value, float):
-        fits = "float" in kinds
-    elif isinstance(value, str):
-        fits = "str" in kinds
-    else:
-        fits = isinstance(value, dict) and "dict" in kinds
-    return None if fits else f"{name} must be {' or '.join(kinds)}, got {value!r}"
+    if any(_naive_fits(value, kind) for kind in kinds):
+        return None
+    expected = " or ".join(_KIND_WORDS[kind] for kind in kinds)
+    return f"{name} must be {expected}, got {value!r}"
 
 
 def naive_document_fault(text: str, what: str) -> str | None:
@@ -734,12 +793,60 @@ def naive_document_fault(text: str, what: str) -> str | None:
 
 
 def naive_config_fault(doc: dict) -> str | None:
-    """The message that rejects a --config document, checking its keys in file order;
-    None if every key is a run parameter and every value has its kind."""
-    for key, value in doc.items():
+    """The message that rejects a --config document: the first key, in field order,
+    whose value is not of its kind, then the first key that is no run parameter;
+    None if there is neither. The config's own range checks run between the two."""
+    for key, kinds in RUN_CONFIG_KINDS.items():
+        if key in doc:
+            fault = _naive_kind_fault(f"config key {key!r}", doc[key], kinds)
+            if fault:
+                return fault
+    for key in doc:
         if key not in RUN_CONFIG_KINDS:
             return f"unknown config key {key!r}"
-        fault = _naive_kind_fault(f"config key {key!r}", value, RUN_CONFIG_KINDS[key])
+    return None
+
+
+def naive_synth_config_fault(doc: dict) -> str | None:
+    """The message that rejects a synth config document: the first key, in field
+    order, whose value is not of its kind, each schedule entry's keys checked in
+    field order as the entry is reached; then the first key that names no field, the
+    document's own before its schedule entries'. None if there is neither. The
+    config's and each entry's own checks are not modelled: an entry's run when its
+    keys have been read, the config's between the kinds and the unknown keys."""
+    for key, kinds in SYNTH_CONFIG_KINDS.items():
+        if key not in doc:
+            continue
+        value = doc[key]
+        if kinds == ("pair of floats",):
+            if not isinstance(value, list) or len(value) != 2:
+                return f"config key {key!r} must be a list of two numbers, got {value!r}"
+            faults = [
+                _naive_kind_fault(f"config key '{key}[{i}]'", entry, ("float",))
+                for i, entry in enumerate(value)
+            ]
+        elif kinds == ("list of entries",):
+            if not isinstance(value, list):
+                return f"config key {key!r} must be a list, got {value!r}"
+            faults = [_naive_schedule_entry_fault(i, entry) for i, entry in enumerate(value)]
+        else:
+            faults = [_naive_kind_fault(f"config key {key!r}", value, kinds)]
+        fault = next((f for f in faults if f), None)
+        if fault:
+            return fault
+    unknown = [key for key in doc if key not in SYNTH_CONFIG_KINDS]
+    for i, entry in enumerate(doc.get("schedule", [])):
+        unknown += [f"schedule[{i}].{key}" for key in entry if key not in SCHEDULE_ENTRY_KINDS]
+    return f"unknown config key {unknown[0]!r}" if unknown else None
+
+
+def _naive_schedule_entry_fault(i: int, entry) -> str | None:
+    if not isinstance(entry, dict):
+        return f"schedule[{i}] must be a JSON object"
+    for key, kinds in SCHEDULE_ENTRY_KINDS.items():
+        if key not in entry:
+            return f"schedule[{i}] lacks key {key!r}"
+        fault = _naive_kind_fault(f"config key 'schedule[{i}].{key}'", entry[key], kinds)
         if fault:
             return fault
     return None
@@ -747,9 +854,9 @@ def naive_config_fault(doc: dict) -> str | None:
 
 def naive_traits_fault(doc, path) -> str | None:
     """The message that rejects a traits report read from ``path``: its record list,
-    each record's keys in field order and then its wearer id, which must name its
-    chart and no earlier record's, then its provenance; None if it is valid.
-    Every key but ``no_interactions`` is required."""
+    then each record: its keys in field order, then a key that names no trait, then
+    its wearer id, which must name its chart and no earlier record's; last its
+    provenance. None if it is valid. Every key but ``no_interactions`` is required."""
     records = doc.get("wearers") if isinstance(doc, dict) else None
     if not isinstance(records, list):
         return f"traits file {path} lacks key 'wearers' (a list of records)"
@@ -762,9 +869,13 @@ def naive_traits_fault(doc, path) -> str | None:
                 if key != "no_interactions":
                     return f"{where} lacks key {key!r}"
                 continue
-            fault = _naive_kind_fault(f"{where}: key {key!r}", record[key], kinds)
+            name = f"traits file {path}: key 'wearers[{i}].{key}'"
+            fault = _naive_kind_fault(name, record[key], kinds)
             if fault:
                 return fault
+        unknown = [key for key in record if key not in TRAITS_KINDS]
+        if unknown:
+            return f"traits file {path}: unknown key 'wearers[{i}].{unknown[0]}'"
         wearer = record["wearer_id"]
         if fault := naive_chart_fault(wearer):
             return f"{where}: {fault}"

@@ -44,10 +44,10 @@ from egosocial.segmentation import (
     daily_interaction_timeline,
     segment,
 )
-from egosocial.synth import ScheduledInteraction, SynthConfig, config_to_dict, generate
+from egosocial.synth import ScheduledInteraction, SynthConfig, generate
 
 import conftest
-from conftest import at, dataset_from_matrix, pad128
+from conftest import at, config_to_dict, dataset_from_matrix, pad128
 from oracles import (
     cluster_mean_correlation,
     naive_average_linkage,

@@ -13,8 +13,9 @@ import json
 from datetime import time
 from pathlib import Path
 
+from conftest import config_to_dict
 from egosocial.cli import main
-from egosocial.synth import ScheduledInteraction, SynthConfig, config_to_dict
+from egosocial.synth import ScheduledInteraction, SynthConfig
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 

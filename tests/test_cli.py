@@ -19,22 +19,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import egosocial
-from conftest import dataset_from_matrix, odd_values
+from conftest import config_to_dict, dataset_from_matrix, odd_values
 from egosocial import cli, clustering, ingest
 from egosocial.cli import main
 from egosocial.ingest import serialize_observations
 from oracles import (
     RUN_CONFIG_KINDS,
+    SCHEDULE_ENTRY_KINDS,
+    SYNTH_CONFIG_KINDS,
     TRAITS_KINDS,
     naive_chart_fault,
     naive_config_fault,
     naive_document_fault,
+    naive_synth_config_fault,
     naive_traits_fault,
 )
 from egosocial.synth import (
     ScheduledInteraction,
     SynthConfig,
-    config_to_dict,
+    SynthConfigError,
+    config_from_dict,
+    dump_config,
     generate,
 )
 
@@ -413,33 +418,41 @@ def _first_record(corrupt):
         ),
         (
             _first_record(lambda r: dict(r, days_analyzed="x")),
-            "wearers[0]: key 'days_analyzed' must be int, got 'x'",
+            "key 'wearers[0].days_analyzed' must be an integer, got 'x'",
         ),
         (
             _first_record(lambda r: dict(r, days_analyzed=2.7)),
-            "wearers[0]: key 'days_analyzed' must be int, got 2.7",
+            "key 'wearers[0].days_analyzed' must be an integer, got 2.7",
         ),
         (
             _first_record(lambda r: dict(r, persons_per_day="3")),
-            "wearers[0]: key 'persons_per_day' must be float, got '3'",
+            "key 'wearers[0].persons_per_day' must be a finite number, got '3'",
         ),
         (
             _first_record(lambda r: dict(r, persons_per_day=True)),
-            "wearers[0]: key 'persons_per_day' must be float, got True",
+            "key 'wearers[0].persons_per_day' must be a finite number, got True",
         ),
         (
             _first_record(lambda r: dict(r, no_interactions="false")),
-            "wearers[0]: key 'no_interactions' must be bool, got 'false'",
+            "key 'wearers[0].no_interactions' must be true or false, got 'false'",
         ),
         (
             _first_record(lambda r: dict(r, wearer_id=0)),
-            "wearers[0]: key 'wearer_id' must be str, got 0",
+            "key 'wearers[0].wearer_id' must be a string, got 0",
         ),
         (_first_record(lambda r: list(r.values())), "wearers[0] must be a JSON object"),
-        (lambda d: dict(d, provenance=3), "key 'provenance' must be dict, got 3"),
+        (lambda d: dict(d, provenance=3), "key 'provenance' must be a JSON object, got 3"),
         (
             lambda d: dict(d, provenance={"fingerprint": 5}),
-            "key 'provenance.fingerprint' must be str, got 5",
+            "key 'provenance.fingerprint' must be a string, got 5",
+        ),
+        (
+            _first_record(lambda r: dict(r, minutes_per_person=float("nan"))),
+            "key 'wearers[0].minutes_per_person' must be a finite number, got nan",
+        ),
+        (
+            _first_record(lambda r: dict(r, days=2)),
+            "unknown key 'wearers[0].days'",
         ),
     ],
     ids=[
@@ -453,6 +466,8 @@ def _first_record(corrupt):
         "not-an-object",
         "int-provenance",
         "int-fingerprint",
+        "nan-trait",
+        "unknown-key",
     ],
 )
 def test_render_rejects_bad_traits_record(tmp_path, synth_dir, capsys, corrupt, message):
@@ -493,8 +508,9 @@ def _files_outside(root: Path, out: Path) -> list[Path]:
 # Wearer ids whose radar chart would not be a file of its own in the chart
 # directory: "{pwned}" stands for an absolute path beside the run's directory.
 _UNCHARTABLE_IDS = pytest.mark.parametrize(
-    "wearer", ["{pwned}", "../../x", "a/b", "nul\0", "overlay"],
-    ids=["absolute", "climbing", "nested", "nul", "overlay"],
+    "wearer",
+    ["{pwned}", "../../x", "a/b", "nul\0", "overlay", "w\ud800x", "w" * 300, "\u00e9" * 126],
+    ids=["absolute", "climbing", "nested", "nul", "overlay", "surrogate", "long", "long-utf8"],
 )
 
 
@@ -517,6 +533,9 @@ def test_a_wearer_id_that_cannot_name_its_chart_is_rejected_on_its_line(
     assert main(["pipeline", *io, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"error: line 2: {naive_chart_fault(wearer)}"
     assert _files_outside(tmp_path, out) == before
+    assert not out.exists()
+    assert main(["validate", *io]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {naive_chart_fault(wearer)}\n"
 
 
 @_UNCHARTABLE_IDS
@@ -573,6 +592,17 @@ def test_config_file_overrides_flags(tmp_path, synth_dir, capsys):
     assert rc == 0
     params = json.loads((out / "consistency.json").read_text())["provenance"]["params"]
     assert params["cut_threshold"] == 0.05
+
+
+def test_a_float_given_as_a_config_integer_runs_as_its_flag(tmp_path, synth_dir, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"cut_threshold": 1}')
+    obs = ["--obs", str(synth_dir / "observations.jsonl")]
+    assert main(["pipeline", *obs, "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    by_config = capsys.readouterr().err
+    assert main(["pipeline", *obs, "--cut-threshold", "1", "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err == by_config
+    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
 
 
 def test_unknown_config_key_rejected(tmp_path, synth_dir, capsys):
@@ -692,9 +722,11 @@ def test_bad_clustering_file_rejected_with_line(
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"cut_threshold": "0.9"}', "config key 'cut_threshold' must be float, got '0.9'"),
-        ('{"normalize": 1}', "config key 'normalize' must be bool, got 1"),
-        ('{"k": 2.5}', "config key 'k' must be int or null, got 2.5"),
+        ('{"cut_threshold": "0.9"}', "config key 'cut_threshold' must be a finite number, got '0.9'"),
+        ('{"normalize": 1}', "config key 'normalize' must be true or false, got 1"),
+        ('{"k": 2.5}', "config key 'k' must be an integer or null, got 2.5"),
+        ('{"bandwidth": NaN}', "config key 'bandwidth' must be a finite number or null, got nan"),
+        ('{"cut_threshold": Infinity}', "config key 'cut_threshold' must be a finite number, got inf"),
         ('{"cut_threshold": 0.9,\n "k": }', "line 2: malformed config"),
         ("[0.9]", "must hold a JSON object"),
         ('{"min_event_min": 1e300}', "min_event_minutes exceeds the longest duration, got 1e+300"),
@@ -726,10 +758,24 @@ def test_bad_config_values_rejected(tmp_path, synth_dir, capsys, text, message):
     [
         (["--max-gap-min", "inf"], "max_gap_minutes exceeds the longest duration, got inf"),
         (["--min-event-min", "1e300"], "min_event_minutes exceeds the longest duration, got 1e+300"),
-        (["--method", "meanshift", "--bandwidth", "nan"], "bandwidth must be positive"),
-        (["--method", "spectral", "--k", "3", "--affinity-scale", "nan"], "affinity_scale must be positive"),
+        (["--method", "meanshift", "--bandwidth", "nan"], "bandwidth must be a finite number, got nan"),
+        (
+            ["--method", "spectral", "--k", "3", "--affinity-scale", "nan"],
+            "affinity_scale must be a finite number, got nan",
+        ),
+        (["--bandwidth", "nan"], "bandwidth must be a finite number, got nan"),
+        (["--affinity-scale=-inf"], "affinity_scale must be a finite number, got -inf"),
+        (["--cut-threshold", "inf"], "cut_threshold must be a finite number, got inf"),
     ],
-    ids=["max-gap-inf", "min-event-huge", "bandwidth-nan", "affinity-scale-nan"],
+    ids=[
+        "max-gap-inf",
+        "min-event-huge",
+        "bandwidth-nan",
+        "affinity-scale-nan",
+        "bandwidth-nan-unused",
+        "affinity-scale-inf-unused",
+        "cut-inf",
+    ],
 )
 def test_out_of_range_run_flag_rejected(tmp_path, synth_dir, capsys, flags, message):
     obs = str(synth_dir / "observations.jsonl")
@@ -860,6 +906,11 @@ def _corrupt_values():
     return st.one_of(odd_values(), st.just(_TOO_LONG))
 
 
+def _read_run_config(path: Path) -> cli.RunConfig:
+    config, _ = cli._settings(argparse.Namespace(config=str(path)))
+    return config
+
+
 @settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -872,11 +923,27 @@ def test_config_reader_rejects_as_the_oracle(tmp_path, key, value):
     if expected is None:
         doc = json.loads(text)
         expected = naive_config_fault(doc)
+        if expected is None or expected.startswith("unknown "):
+            # RunConfig's own checks run after the kinds and before the unknown keys,
+            # on each setting as read: a float setting given as an integer is a float.
+            settings = {
+                k: float(v) if "float" in RUN_CONFIG_KINDS[k] and type(v) is int else v
+                for k, v in doc.items()
+                if k in RUN_CONFIG_KINDS
+            }
+            try:
+                want = cli.RunConfig(**settings)
+            except ValueError as exc:
+                expected = str(exc)
     if expected is None:
-        assert json.dumps(cli._read_config_overrides(path)) == json.dumps(doc)
+        config = _read_run_config(path)
+        assert config == want
+        for key, kinds in RUN_CONFIG_KINDS.items():
+            if "float" in kinds and getattr(config, key) is not None:
+                assert type(getattr(config, key)) is float
         return
     with pytest.raises(ValueError) as info:
-        cli._read_config_overrides(path)
+        _read_run_config(path)
     assert str(info.value) == expected
 
 
@@ -897,10 +964,10 @@ _TRAITS_DOC = {
         {**{k: v for k, v in _TRAITS_RECORD.items() if k != "no_interactions"}, "wearer_id": "u2"},
     ],
 }
-# Where a corrupted traits report may hold an odd value: a key of either record,
-# the provenance, its fingerprint, or the record list itself.
+# Where a corrupted traits report may hold an odd value: a key of either record or
+# one that names no trait, the provenance, its fingerprint, or the record list itself.
 _TRAITS_KEYS = [
-    *(("wearers", i, key) for i in range(2) for key in TRAITS_KINDS),
+    *(("wearers", i, key) for i in range(2) for key in [*TRAITS_KINDS, "nonsense"]),
     ("provenance",),
     ("provenance", "fingerprint"),
     ("wearers",),
@@ -931,6 +998,63 @@ def test_traits_reader_rejects_as_the_oracle(tmp_path, at, value):
         return
     with pytest.raises(ValueError) as info:
         cli._read_traits(path)
+    assert str(info.value) == expected
+
+
+_SYNTH_DOC = {
+    "seed": 3,
+    "n_days": 2,
+    "n_identities": 2,
+    "frame_interval_seconds": [20, 30.5],
+    "schedule": [
+        {"identity": 0, "day": 0, "start": "09:00", "end": "09:20"},
+        {"identity": 1, "day": 1, "start": "10:00", "end": "10:15"},
+    ],
+}
+# Where a corrupted synth config may hold an odd value or lack a key: a key of the
+# config, an entry of the frame interval, a key of either schedule entry, or a key
+# that names no field at either level.
+_SYNTH_KEYS = [
+    *((key,) for key in [*SYNTH_CONFIG_KINDS, "nonsense"]),
+    *(("frame_interval_seconds", i) for i in range(2)),
+    *(("schedule", i, key) for i in range(2) for key in [*SCHEDULE_ENTRY_KINDS, "nonsense"]),
+]
+# Stands for a key taken out of its object.
+_ABSENT = "\x00absent"
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(at=st.sampled_from(_SYNTH_KEYS), value=st.one_of(_corrupt_values(), st.just(_ABSENT)))
+def test_synth_config_reader_rejects_as_the_oracle(tmp_path, at, value):
+    doc = json.loads(json.dumps(_SYNTH_DOC))
+    *parents, key = at
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    if value != _ABSENT:
+        target[key] = value
+    elif isinstance(target, dict):
+        target.pop(key, None)
+    else:
+        del target[key]
+    path = tmp_path / "synth.json"
+    text = _dumped(doc)
+    path.write_text(text)
+    expected = naive_document_fault(text, "synth config")
+    if expected is None:
+        expected = naive_synth_config_fault(json.loads(text))
+    if expected is None:
+        try:
+            config = config_from_dict(cli._read_document(path, "synth config"))
+        except SynthConfigError:
+            return  # the config's or an entry's own checks, which the oracle leaves out
+        assert all(type(v) is float for v in config.frame_interval_seconds)
+        assert config_from_dict(json.loads(dump_config(config))) == config
+        return
+    with pytest.raises(ValueError) as info:
+        config_from_dict(cli._read_document(path, "synth config"))
     assert str(info.value) == expected
 
 
@@ -1118,6 +1242,9 @@ def test_non_integer_interaction_field_rejected_with_line(
             {"schedule": [{"identity": 0, "day": 3, "start": "09:00", "end": "09:10", "x": 1}]},
             "scheduled day 3 outside 0..0",
         ),
+        ({"wearer_id": "overlay"}, naive_chart_fault("overlay")),
+        ({"wearer_id": "w\ud800x"}, naive_chart_fault("w\ud800x")),
+        ({"wearer_id": "w" * 300}, naive_chart_fault("w" * 300)),
     ],
     ids=[
         "missing-identity",
@@ -1138,6 +1265,9 @@ def test_non_integer_interaction_field_rejected_with_line(
         "unknown-schedule-key",
         "unknown-key-after-range-check",
         "unknown-schedule-key-after-range-check",
+        "wearer-overlay",
+        "wearer-surrogate",
+        "wearer-long",
     ],
 )
 def test_bad_synth_config_rejected(tmp_path, capsys, doc, message):
@@ -1145,6 +1275,7 @@ def test_bad_synth_config_rejected(tmp_path, capsys, doc, message):
     cfg.write_text(json.dumps(doc))
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])

@@ -7,6 +7,7 @@ from datetime import date, time, timedelta
 import numpy as np
 import pytest
 
+from conftest import config_to_dict
 from egosocial.clustering import AhcParams, cluster_ahc
 from egosocial.consistency import apply_consistency
 from egosocial.evaluation import pairwise_prf
@@ -17,7 +18,6 @@ from egosocial.synth import (
     SynthConfig,
     SynthConfigError,
     config_from_dict,
-    config_to_dict,
     dump_config,
     generate,
 )
