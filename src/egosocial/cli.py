@@ -102,6 +102,7 @@ class RunConfig:
             value = getattr(self, f.name)
             if type(value) is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        self.cluster_params()  # raises on a bad setting of the configured method
 
     def ahc_params(self) -> AhcParams:
         return AhcParams(self.metric, self.cut_threshold, normalize_descriptors=self.normalize)
@@ -442,6 +443,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config, dataset = _begin(args)
+    if not dataset.wearers():  # build_profiles' reject, before anything is written
+        raise ValueError("need at least one wearer")
     out = Path(args.out)
     prov = _provenance(config)
     _write_json(out / "params.json", prov)

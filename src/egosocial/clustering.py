@@ -80,11 +80,21 @@ class AhcParams:
 class MeanShiftParams:
     bandwidth: float | None = None  # None: median pairwise distance of a subsample
 
+    def __post_init__(self):
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise ValueError("bandwidth must be positive")
+
 
 @dataclass(frozen=True)
 class SpectralParams:
     k: int = 2
     affinity_scale: float | None = None  # None: median pairwise distance of a subsample
+
+    def __post_init__(self):
+        if not self.k >= 1:
+            raise ValueError(f"need 1 <= k, got k={self.k}")
+        if self.affinity_scale is not None and not self.affinity_scale > 0:
+            raise ValueError("affinity_scale must be positive")
 
 
 MethodParams = AhcParams | MeanShiftParams | SpectralParams

@@ -63,6 +63,13 @@ one order: every key's kind, in field order, each nested object built (and
 its own checks run) as it is read; then the dataclass's own checks; then the
 first key that names no field, the object's own keys before those of the
 objects in its fields. :func:`_json_document` alone writes a document.
+
+:func:`_jsonl` alone writes line records, one line at a time, and every line
+is the bytes ``json.dumps`` writes for its record, with a 1-D float64 array
+value written as its list. orjson writes such an array where its entries are
+0 or lie in 1e-4 <= |x| < 1e16: there ``float.__repr__``, and so json, prints
+a plain decimal, and orjson prints the same shortest round-trip digits the
+same way. json writes every other entry and every other value.
 """
 
 from __future__ import annotations
@@ -980,9 +987,57 @@ def load_dataset(
     return Dataset(dataset.observations, coverage)
 
 
+def _float_list(row: np.ndarray) -> str:
+    """``json.dumps(row.tolist())`` for a 1-D float64 array, mostly written by orjson.
+
+    orjson prints the same shortest round-trip digits as ``float.__repr__``,
+    and for 0 and 1e-4 <= |x| < 1e16, where repr prints a plain decimal, it
+    prints the same text. Every other entry (below 1e-4, 1e16 or more,
+    non-finite) is json's own token, and a row orjson refuses, such as a
+    non-contiguous one, is written by json whole.
+    """
+    try:
+        text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    except orjson.JSONEncodeError:
+        return json.dumps(row.tolist())
+    size = np.abs(row)
+    other = ((size < 1e-4) & (row != 0)) | ~(size < 1e16)  # NaN is not < 1e16
+    if not other.any():
+        return text.replace(",", ", ")
+    tokens = text[1:-1].split(",")
+    for i in np.flatnonzero(other):
+        tokens[i] = json.dumps(float(row[i]))
+    return "[" + ", ".join(tokens) + "]"
+
+
+def _jsonl_line(record: dict) -> str:
+    """``json.dumps(record)``, with each 1-D float64 array value written as its list.
+
+    The items up to and including such a value are written by one
+    ``json.dumps``, with 0 for the value, which writes them as it writes them
+    in ``record``; the 0 then gives way to the list. Any other array is left
+    to json, which refuses it.
+    """
+    if np.ndarray not in map(type, record.values()):
+        return json.dumps(record)
+    groups: list[str] = []
+    run: dict = {}
+    for key, value in record.items():
+        if type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64:
+            run[key] = 0
+            groups.append(json.dumps(run)[1:-2] + _float_list(value))
+            run = {}
+        else:
+            run[key] = value
+    if run:
+        groups.append(json.dumps(run)[1:-1])
+    return "{" + ", ".join(groups) + "}"
+
+
 def _jsonl(records: Iterable[dict]) -> str:
-    """The line-record form :func:`_records` reads: one JSON object a line, each ended."""
-    lines = [json.dumps(record) for record in records]
+    """The line-record form :func:`_records` reads: one JSON object a line, each ended,
+    written by :func:`_jsonl_line` one line at a time."""
+    lines = [_jsonl_line(record) for record in records]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -1010,7 +1065,7 @@ def serialize_observations(dataset: Dataset) -> str:
             "timestamp": obs.timestamp.isoformat(),
             "image_id": obs.image_id,
             "face_index": obs.face_index,
-            "descriptor": obs.descriptor.tolist(),
+            "descriptor": obs.descriptor,
         }
         for obs in dataset.observations
     )

@@ -418,6 +418,16 @@ def json_records(source, fields, build):
     return len(lines)
 
 
+def json_jsonl(records) -> str:
+    """The line-record writer with every line written by ``json.dumps`` alone: one
+    record a line, each ended, an array value written as its ``.tolist()``."""
+    return "".join(
+        json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in r.items()})
+        + "\n"
+        for r in records
+    )
+
+
 def _naive_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 

@@ -787,6 +787,77 @@ def test_out_of_range_run_flag_rejected(tmp_path, synth_dir, capsys, flags, mess
     assert err.splitlines()[-1] == f"error: {message}"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--method", "spectral"], "spectral clustering requires --k"),
+        (["--method", "spectral", "--k", "0"], "need 1 <= k, got k=0"),
+        (
+            ["--method", "spectral", "--k", "2", "--affinity-scale", "0"],
+            "affinity_scale must be positive",
+        ),
+        (["--method", "meanshift", "--bandwidth", "0"], "bandwidth must be positive"),
+        (["--method", "meanshift", "--bandwidth", "-1.5"], "bandwidth must be positive"),
+    ],
+    ids=[
+        "spectral-without-k",
+        "spectral-k-0",
+        "affinity-scale-0",
+        "bandwidth-0",
+        "bandwidth-negative",
+    ],
+)
+def test_bad_method_setting_rejected_before_anything_is_written(
+    tmp_path, synth_dir, capsys, flags, message
+):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    obs = str(synth_dir / "observations.jsonl")
+    rc = main(["pipeline", "--obs", obs, "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.fixture
+def empty_synth_dir(tmp_path):
+    """synth's output for an empty schedule: no observation, one coverage entry a day."""
+    config = SynthConfig(seed=3, n_days=2, schedule=())
+    out = _synth(config, tmp_path / "empty.json", tmp_path / "empty")
+    assert (out / "observations.jsonl").read_text() == ""
+    assert (out / "coverage.jsonl").read_text().count("\n") == 2
+    return out
+
+
+def test_pipeline_without_a_wearer_is_rejected_before_anything_is_written(
+    tmp_path, empty_synth_dir, capsys
+):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    obs = str(empty_synth_dir / "observations.jsonl")
+    rc = main(["pipeline", "--obs", obs, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert err[-1] == "error: need at least one wearer"
+    assert not out.exists()
+    interactions = tmp_path / "interactions.jsonl"
+    interactions.write_text("")
+    rc = main(["profile", "--obs", obs, "--interactions", str(interactions), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: need at least one wearer"
+    assert not out.exists()
+
+
+def test_pipeline_with_only_coverage_wearers_still_succeeds(tmp_path, empty_synth_dir, capsys):
+    data = empty_synth_dir
+    out = tmp_path / "o"
+    io = ["--obs", str(data / "observations.jsonl"), "--coverage", str(data / "coverage.jsonl")]
+    assert main(["pipeline", *io, "--out", str(out)]) == 0
+    assert "wearer-0 | 0 " in capsys.readouterr().out
+    assert (out / "radar" / "wearer-0.svg").is_file()
+
+
 _DEEP_DOCUMENT_COMMANDS = pytest.mark.parametrize(
     "command, message",
     [

@@ -23,6 +23,8 @@ from egosocial.clustering import (
     Clustering,
     DegenerateVectorError,
     DistanceMatrix,
+    MeanShiftParams,
+    SpectralParams,
     ahc_average_linkage,
     cluster_ahc,
     clustering_from_clusters,
@@ -822,6 +824,25 @@ def test_spectral_validates_k(rng):
 def test_spectral_rejects_bad_affinity_scale(rng, scale):
     with pytest.raises(ValueError, match="^affinity_scale must be positive$"):
         spectral(rng.standard_normal((4, 128)), k=2, affinity_scale=scale)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: MeanShiftParams(bandwidth=0.0), "^bandwidth must be positive$"),
+        (lambda: MeanShiftParams(bandwidth=float("nan")), "^bandwidth must be positive$"),
+        (lambda: SpectralParams(k=0), "^need 1 <= k, got k=0$"),
+        (lambda: SpectralParams(k=2, affinity_scale=-1.0), "^affinity_scale must be positive$"),
+    ],
+)
+def test_method_params_check_their_settings(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_method_params_leave_an_unset_scale_to_the_estimate():
+    assert MeanShiftParams().bandwidth is None
+    assert SpectralParams(k=1).affinity_scale is None
 
 
 # --- clustering container and serialization ---------------------------------------

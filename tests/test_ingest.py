@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import time
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -39,6 +41,7 @@ from egosocial.ingest import (
 from oracles import (
     naive_coverage_fault,
     naive_descriptor,
+    json_jsonl,
     naive_document_fault,
     naive_observation_fault,
     naive_slice,
@@ -320,6 +323,120 @@ def test_round_trip_with_explicit_coverage(rng):
     assert json.loads(text_cov.splitlines()[0])["image_count"] == 4
     again = load_dataset(text_obs, text_cov)
     assert again == dataset
+
+
+# --- the line-record writer -------------------------------------------------------
+
+
+def _boundary_floats() -> list[float]:
+    """Where the writer turns from orjson's text to json's token (0, 1e-4, 1e16),
+    the ends of the finite double range and 2**53, each with its neighbours and
+    their negations."""
+    values = []
+    with np.errstate(over="ignore"):  # the largest double's neighbour above is inf
+        for edge in (0.0, 1e-4, 1e16, 2.0**53, 5e-324, float(np.finfo(np.float64).max)):
+            for x in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+                values += [float(x), -float(x)]
+    return [v for v in values if math.isfinite(v)]
+
+
+_DESCRIPTOR_ENTRIES = st.one_of(
+    st.sampled_from(_boundary_floats()), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _descriptor_rows(draw) -> np.ndarray:
+    """One to four descriptors: per row, normal draws at a scale from 1e-8 to 1e18,
+    uniform bit patterns (every finite double equally likely by bits, so mostly far
+    outside 1e-4..1e16), or a mix of both; then up to 24 drawn entries, among them
+    the boundary floats, put in at drawn places."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    normal = rng.standard_normal((n, 128)) * 10.0 ** rng.integers(-8, 19, (n, 1))
+    bits = rng.integers(0, 2**64, (n, 128), dtype=np.uint64).view(np.float64)
+    bits[~np.isfinite(bits)] = 1.0
+    share = rng.choice([0.0, 0.1, 1.0], size=(n, 1))
+    X = np.where(rng.random((n, 128)) < share, bits, normal)
+    places = st.tuples(st.integers(0, X.size - 1), _DESCRIPTOR_ENTRIES)
+    for at, value in draw(st.lists(places, max_size=24)):
+        X.flat[at] = value
+    return X
+
+
+def _drawn_dataset(X: np.ndarray, strided: bool) -> Dataset:
+    """A dataset of the descriptors ``X``; each a non-contiguous view if ``strided``."""
+    if strided:
+        X = np.repeat(X, 2, axis=1)[:, ::2]
+    dataset = dataset_from_matrix(X)
+    assert all(o.descriptor.flags.c_contiguous != strided for o in dataset.observations)
+    return dataset
+
+
+@settings(max_examples=200, deadline=None)
+@given(X=_descriptor_rows(), strided=st.booleans())
+def test_observation_writer_writes_the_bytes_of_json(X, strided):
+    dataset = _drawn_dataset(X, strided)
+    records = [
+        {
+            "wearer_id": o.wearer_id,
+            "day": o.day.isoformat(),
+            "timestamp": o.timestamp.isoformat(),
+            "image_id": o.image_id,
+            "face_index": o.face_index,
+            "descriptor": o.descriptor,
+        }
+        for o in dataset.observations
+    ]
+    assert serialize_observations(dataset) == json_jsonl(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(X=_descriptor_rows(), strided=st.booleans())
+def test_written_descriptors_parse_back_bit_identical(X, strided):
+    dataset = _drawn_dataset(X, strided)
+    again = parse_observations(serialize_observations(dataset))
+    assert len(again) == len(dataset)
+    for read, written in zip(again.observations, dataset.observations):
+        assert np.array_equal(read.descriptor.view(np.uint64), written.descriptor.view(np.uint64))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+_FLOAT_ARRAYS = st.lists(
+    st.one_of(_DESCRIPTOR_ENTRIES, st.floats()), max_size=6
+).map(lambda values: np.array(values, dtype=np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    records=st.lists(
+        st.dictionaries(st.text(), st.one_of(_JSON_VALUES, _FLOAT_ARRAYS), max_size=5),
+        max_size=3,
+    )
+)
+def test_line_writer_writes_every_record_as_json_does(records):
+    """Array values anywhere in a record, between any other JSON values, non-finite
+    entries included."""
+    assert ingest._jsonl(records) == json_jsonl(records)
+
+
+def test_observation_writer_peak_memory_stays_within_its_text(rng):
+    """One line at a time: the writer holds its lines and the text they join into,
+    never a text or an array of the whole dataset beside them."""
+    dataset = dataset_from_matrix(rng.standard_normal((1400, 128)))
+    serialize_observations(dataset)  # imports and caches out of the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = serialize_observations(dataset)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * len(text)
 
 
 def test_observations_sorted_by_wearer_then_time(rng):
