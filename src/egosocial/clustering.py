@@ -964,14 +964,24 @@ def parse_clustering(text: str, dataset: Dataset) -> dict[str, Clustering]:
     malformed header or record raises :class:`IngestError` with its line
     number. ``text`` is the whole file, not an open one, because the headers
     are read before the records; its lines are numbered as the other readers
-    number theirs.
+    number theirs. The header lines' maps are merged; a wearer that an
+    earlier header names already is rejected on the later header's line.
     """
     lines = text.splitlines()
     headers: dict = {}
+    named: dict[str, int] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith(CLUSTERING_HEADER):
-            headers = _clustering_header(line, line_no)
+            for wearer, meta in _clustering_header(line, line_no).items():
+                if wearer in named:
+                    raise IngestError(
+                        f"duplicate header for wearer {wearer!r}, "
+                        f"first seen on line {named[wearer]}",
+                        line_no,
+                    )
+                named[wearer] = line_no
+                headers[wearer] = meta
 
     records: dict[str, dict[tuple[str, int], tuple[int, int]]] = {}
     for line_no, ((wearer, image, face), cid) in _records(

@@ -14,7 +14,6 @@ import json
 import math
 import posixpath
 import re
-import sys
 from datetime import date, datetime, time, timedelta
 from typing import Sequence
 
@@ -387,9 +386,9 @@ def json_records(source, fields, build):
 
     ``source`` is a text or a list of lines. Yields (line number,
     ``build(record, line number)``) for each line that is neither blank nor a
-    '#' comment, raises :class:`IngestError` as the loop did before it decoded
-    with orjson, and returns the line count. A reader whose ``_records`` is
-    replaced by this one reads every line by json's judgement alone.
+    '#' comment and raises :class:`IngestError` as the loop did before it
+    decoded with orjson. A reader whose ``_records`` is replaced by this one
+    reads every line by json's judgement alone.
     """
     items = source.splitlines() if isinstance(source, str) else source
     lines = [line for item in items for line in item.splitlines() or [""]]
@@ -415,7 +414,6 @@ def json_records(source, fields, build):
         if missing:
             raise IngestError(f"missing fields {missing}", no)
         yield no, build(record, no)
-    return len(lines)
 
 
 def json_jsonl(records) -> str:
@@ -750,56 +748,30 @@ def _naive_kind_fault(name: str, value, kinds: tuple[str, ...]) -> str | None:
 
 
 def naive_document_fault(text: str, what: str) -> str | None:
-    """The message that rejects a JSON document before any of its keys is read; None
-    if there is none. A document nested too deeply for the decoder is named by the
-    line of its first opening bracket at the greatest depth; otherwise an integer
-    with more digits than the interpreter converts is named by its line. Reads
-    character by character, skipping strings and the digits of every number with a
-    fraction or an exponent. Only whether the nesting is too deep is asked of the
-    decoder, whose depth limit depends on the interpreter."""
+    """The message that rejects a JSON document for nesting too deep for the decoder
+    or an integer with more digits than the interpreter converts; None if the
+    decoder meets neither (it may still meet a syntax error). The fault is named by
+    the first line whose prefix, that line and every line before it, the decoder
+    rejects with the same fault: each prefix is asked in turn, from the first line
+    on. The decoder is called from this frame, as the reader calls it from its own,
+    because its depth limit counts the frames of its caller."""
     try:
         json.loads(text)
-        too_deep = False
+        return None
+    except json.JSONDecodeError:
+        return None
     except RecursionError:
-        too_deep = True
-    except ValueError:
-        too_deep = False
-    limit = sys.get_int_max_str_digits()
-    long_integer = None
-    line, i = 1, 0
-    depth = deepest = deepest_line = 0
-    while i < len(text):
-        c = text[i]
-        if c == '"':
-            i += 1
-            while i < len(text) and text[i] != '"':
-                i += 2 if text[i] == "\\" else 1
-        elif c == "\n":
-            line += 1
-        elif c in "[{":
-            depth += 1
-            if depth > deepest:
-                deepest, deepest_line = depth, line
-        elif c in "]}":
-            depth -= 1
-        elif c.isascii() and c.isdigit():
-            j = i
-            while j < len(text) and text[j].isascii() and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] in ".eE":
-                while j < len(text) and (text[j].isdigit() or text[j] in ".eE+-"):
-                    j += 1
-            elif j - i > limit and long_integer is None:
-                try:
-                    int(text[i:j])
-                except ValueError as exc:
-                    long_integer = f"line {line}: malformed {what}: {exc}"
-            i = j
-            continue
-        i += 1
-    if too_deep:
-        return f"line {deepest_line}: malformed {what}: nested too deeply"
-    return long_integer
+        fault, message = RecursionError, "nested too deeply"
+    except ValueError as exc:
+        fault, message = ValueError, str(exc)
+    lines = text.split("\n")
+    for line in range(1, len(lines) + 1):
+        try:
+            json.loads("\n".join(lines[:line]))
+        except (RecursionError, ValueError) as exc:
+            if type(exc) is fault:
+                return f"line {line}: malformed {what}: {message}"
+    raise AssertionError("the whole text met the fault, so some prefix does")
 
 
 def naive_config_fault(doc: dict) -> str | None:

