@@ -14,6 +14,8 @@ clustering is seeded. Repeat runs on identical inputs are bit-identical.
 from __future__ import annotations
 
 import json
+import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -371,18 +373,19 @@ def compute_distances(
     return DistanceMatrix(entries=_distances(X, U, metric == "euclidean"), metric_tag=metric)
 
 
-def _check_distance_matrix(dist: DistanceMatrix) -> None:
+def _check_distance_matrix(dist: DistanceMatrix) -> float:
     """Reject non-finite, negative, asymmetric or non-zero-diagonal matrices.
 
     The range tests are two reductions (min is NaN if any entry is), and
     symmetry compares each 256 x 256 tile above the diagonal with its
     mirror, so no n x n temporary is made. When several faults are present
-    the message names the first of the order above.
+    the message names the first of the order above. Returns the largest
+    entry (0.0 for an empty matrix).
     """
     E = dist.entries
     n = E.shape[0]
     if n == 0:
-        return
+        return 0.0
     lowest, highest = E.min(), E.max()
     if not (-np.inf < lowest and highest < np.inf):
         raise ValueError("distance matrix contains non-finite entries")
@@ -396,6 +399,7 @@ def _check_distance_matrix(dist: DistanceMatrix) -> None:
                 raise ValueError("distance matrix is not symmetric")
     if np.any(np.diagonal(E) != 0.0):
         raise ValueError("distance matrix diagonal must be zero")
+    return float(highest)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +432,13 @@ def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         _compress(parent)
 
 
+def _joined(parent: np.ndarray, lo: int) -> bool:
+    """Whether every node from lo on has one root in a compressed forest,
+    so that no edge among them can join two sets."""
+    roots = parent[lo:]
+    return bool(roots[0] == roots[-1] and (roots == roots[0]).all())
+
+
 def _components(parent: np.ndarray) -> list[np.ndarray]:
     """The sets of a compressed union-find forest, ordered by smallest member.
 
@@ -446,10 +457,15 @@ def _cut_components(E: np.ndarray, threshold: float) -> list[np.ndarray]:
     holds every edge. It is read _ROWS rows at a time, and each block's
     edges are folded into the union-find :func:`_cut_groups` uses too.
     Components come out ordered by their smallest member, members ascending.
+
+    The scan stops once every row from a block's first on has one root, so
+    a giant component is labelled from its first blocks.
     """
     n = E.shape[0]
     parent = np.arange(n)
     for lo in range(0, n, _ROWS):
+        if _joined(parent, lo):
+            break
         ii, jj = np.nonzero(E[lo : lo + _ROWS, lo:] <= threshold)
         _union(parent, ii + lo, jj + lo)
     return _components(parent)
@@ -557,12 +573,15 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     The same rounding care closes a component without the loop. If the
     largest entry M of a component's submatrix is at most the computed
     ``cut * (1 - kappa)``, the component ends as one cluster, and it is
-    appended whole. Every Lance-Williams value is a weighted mean of two
-    values, each a weighted mean of entries <= M, rounded 3 times per
-    merge: a product or sum that lands below 2**-1022 is exact, and a
-    quotient that does is at most 2**-1022. So after k merges every value
-    is at most ``max(M, 2**-1022) * (1 + u)^(3k)``. A component of m <= n
-    rows takes at most m - 1 merges, and the threshold rounds twice, so
+    appended whole. When that holds for the largest entry of the whole
+    matrix, which the matrix check finds anyway, every pair is an edge, and
+    the one component is closed before any labelling. Every Lance-Williams
+    value is a weighted mean of two values, each a weighted mean of entries
+    <= M, rounded 3 times per merge: a product or sum that lands below
+    2**-1022 is exact, and a quotient that does is at most 2**-1022. So
+    after k merges every value is at most ``max(M, 2**-1022) * (1 + u)^(3k)``.
+    A component of m <= n rows takes at most m - 1 merges, and the
+    threshold rounds twice, so
     every value stays at most ``cut * (1 - kappa) * (1 + u)^(3n - 1)``,
     which is at most ``cut`` because ``(1 + u)^k <= 1 / (1 - k*u)``, and
     ``2**-1022 * (1 + u)^(3n) <= cut`` for ``cut >= 2**-1000``. Every
@@ -572,7 +591,7 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     it, no component is closed this way. The margin is needed: distances
     an ulp or two below the cut can split a component by rounding.
     """
-    _check_distance_matrix(dist)
+    highest = _check_distance_matrix(dist)
     if params.metric != dist.metric_tag:
         raise ValueError(
             f"params.metric {params.metric!r} does not match matrix metric {dist.metric_tag!r}"
@@ -585,6 +604,8 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     cut = params.cut_threshold
     kappa = 4.0 * n * 2.0**-53
     tight = cut * (1.0 - kappa) if 2.0**-1000 <= cut <= 2.0**1000 / n else -1.0
+    if highest <= tight:  # every pair is an edge: one component, closed as below
+        return clustering_from_clusters([range(n)], n, "ahc", params_used)
     final: list[list[int]] = []
     for comp in _cut_components(dist.entries, cut * (1.0 + kappa)):
         if comp.size == 1:
@@ -600,9 +621,62 @@ def ahc_average_linkage(dist: DistanceMatrix, params: AhcParams) -> Clustering:
     return clustering_from_clusters(final, n, "ahc", params_used)
 
 
-# Rows per group in cluster_ahc: a group's distance matrix is at most
-# _BIN x _BIN (8 MiB), unless one cut-graph component alone is larger.
+# cluster_ahc groups the rows of an input larger than _BIN rows; a smaller
+# input is one group, whose distance matrix is at most _BIN x _BIN (8 MiB).
 _BIN = 1024
+
+# Rows per group of a grouped input: whole cut-graph components are packed
+# into groups of at most _PACK rows (a larger component is a group of its
+# own), so most groups are one component and need only its own distances.
+_PACK = 256
+
+
+def _fold_blocks(parent: np.ndarray, block, n: int) -> None:
+    """Fold the edges of every _TILE-row block of a cut graph into a union-find.
+
+    ``block(lo)`` finds the edges of rows lo to lo + _TILE against the rows
+    from lo on: as index pairs, or, where more than one pair in 16 is an
+    edge, as the boolean block itself, so that a finished block never holds
+    more than a byte per pair. Such a block is folded _ROWS rows at a time,
+    without the pairs whose rows already share a root. Blocks are made on
+    one thread per usable CPU, at most two per thread in flight, and only
+    the calling thread folds them, in order; with one CPU no thread is
+    started. No block is made once every row from lo on has one root.
+    """
+
+    def fold(lo: int, found) -> None:
+        if isinstance(found, tuple):
+            _union(parent, *found)
+            return
+        for top in range(lo, lo + found.shape[0], _ROWS):
+            rows = found[top - lo : top - lo + _ROWS]
+            rows &= parent[lo:] != parent[top : top + len(rows), None]
+            ii, jj = np.nonzero(rows)
+            _union(parent, ii + top, jj + lo)
+
+    starts = range(0, n, _TILE)
+    workers = min(len(os.sched_getaffinity(0)), len(starts))
+    if workers <= 1:
+        for lo in starts:
+            if _joined(parent, lo):
+                return
+            fold(lo, block(lo))
+        return
+    # Imported here: concurrent.futures (with logging) adds about 0.6 MB of
+    # resident memory to every process that imports this module.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending: deque = deque()
+        for lo in starts:
+            if _joined(parent, lo):
+                break
+            pending.append((lo, pool.submit(block, lo)))
+            if len(pending) == 2 * workers:
+                done, future = pending.popleft()
+                fold(done, future.result())
+        for done, future in pending:
+            fold(done, future.result())
 
 
 def _cut_groups(A: np.ndarray, euclidean: bool, cut: float) -> list[np.ndarray]:
@@ -610,36 +684,55 @@ def _cut_groups(A: np.ndarray, euclidean: bool, cut: float) -> list[np.ndarray]:
 
     A holds the checked descriptors (euclidean) or their unit rows (cosine,
     correlation). An edge joins two rows wherever the Gram form of their
-    distance is within the cut plus a slack (see :func:`cluster_ahc`); the
-    Gram matrix is formed in row blocks of the upper triangle, and each
-    block's edges are folded into the union-find :func:`_cut_components`
-    uses too, and dropped. Components, ordered by smallest member, are
-    packed in that order into groups of at most ``_BIN`` rows; a larger
-    component is a group of its own. Each group's rows are ascending.
+    distance is within the cut plus a slack ``eps`` (see
+    :func:`cluster_ahc`). The Gram matrix is formed in float32, or in
+    float64 where the float32 proof does not hold, _TILE rows of the upper
+    triangle at a time by :func:`_fold_blocks`, and each block's edges are
+    folded into the union-find :func:`_cut_components` uses too, and
+    dropped. Components, ordered by smallest member, are packed in that
+    order into groups of at most ``_PACK`` rows; a larger component is a
+    group of its own. Each group's rows are ascending.
     """
     n, d = A.shape
-    eps = 8.0 * (n + d + 8) * 2.0**-53
+    r = np.einsum("ij,ij->i", A, A)
+    u = 2.0**-24
+    if d * u <= 2.0**-4 and 2.0**-64 <= r.min() and r.max() <= 2.0**64:
+        eps = 2.0 * (d * u / (1.0 - d * u) + 8.0 * u + 4.0 * n * 2.0**-53)
+        A = A.astype(np.float32)
+    else:
+        eps = 8.0 * (n + d + 8) * 2.0**-53
     t = cut * (1.0 + eps)
+    half = None
     if euclidean:  # g_ij - h_j >= h_i - t^2 / 2
-        half = np.einsum("ij,ij->i", A, A) * ((1.0 - eps) / 2.0)
+        half = r * ((1.0 - eps) / 2.0)
         least = half - t * t / 2.0
+        half = half.astype(A.dtype, copy=False)
     else:  # g_ij >= 1 - t - eps
         least = np.full(n, 1.0 - t - eps)
-    parent = np.arange(n)
-    for lo in range(0, n, _TILE):
-        hi = min(lo + _TILE, n)
-        G = A[lo:hi] @ A[lo:].T
-        if euclidean:
+    with np.errstate(over="ignore"):  # a least below float32's range is -inf: more edges
+        least = least.astype(A.dtype, copy=False)
+
+    def block(lo: int):
+        G = A[lo : lo + _TILE] @ A[lo:].T
+        if half is not None:
             G -= half[None, lo:]
         if not (-np.inf < G.min() and G.max() < np.inf):
             raise ValueError("distance matrix contains non-finite entries")
-        ii, jj = np.nonzero(G >= least[lo:hi, None])
-        _union(parent, ii + lo, jj + lo)
+        edges = G >= least[lo : lo + _TILE, None]
+        del G
+        if np.count_nonzero(edges) > edges.size // 16:
+            return edges
+        ii, jj = np.nonzero(edges)
+        ii += lo
+        jj += lo
+        return ii, jj
 
+    parent = np.arange(n)
+    _fold_blocks(parent, block, n)
     groups: list[list[np.ndarray]] = []
-    filled = _BIN
+    filled = _PACK
     for comp in _components(parent):
-        if filled + comp.size > _BIN:
+        if filled + comp.size > _PACK:
             groups.append([])
             filled = 0
         groups[-1].append(comp)
@@ -657,8 +750,9 @@ def cluster_ahc(observations, params: AhcParams = AhcParams()) -> Clustering:
     1. Grouping. Rows are joined wherever the Gram form of their distance
        is within the cut plus a slack, and the components of that graph
        are packed, in order of their smallest member, into groups of at
-       most ``_BIN`` rows (a larger component is a group of its own). With
-       n <= ``_BIN`` the whole input is one group and this step is skipped.
+       most ``_PACK`` rows (a larger component is a group of its own), so
+       most groups are a single component. With n <= ``_BIN`` the whole
+       input is one group and this step is skipped.
     2. Per group, :func:`compute_distances` on the group's rows and
        :func:`ahc_average_linkage`; the clusters are mapped back to global
        indices and ordered by smallest member.
@@ -693,10 +787,48 @@ def cluster_ahc(observations, params: AhcParams = AhcParams()) -> Clustering:
     meets all four with a factor of two to spare. A non-finite product
     raises the error :func:`ahc_average_linkage` gives a non-finite matrix.
 
-    Memory is O(_TILE * n) for a block of the Gram matrix and its edges,
-    plus O(_BIN**2 + m**2) for one group's distances, where m is the
-    largest component: never the whole n x n matrix unless one component
-    spans the input.
+    Float32 blocks. When d <= 2**20 and every computed squared norm r lies
+    in [2**-64, 2**64], :func:`_cut_groups` rounds the rows, ``h`` and the
+    least value ``h_a - t**2 / 2`` (or ``1 - t - eps``) to float32 and
+    forms the products, the subtraction and the test there. Let v = 2**-24
+    and gamma' = d*v / (1 - d*v). Rounding each entry moves the exact
+    product of two rows by at most (2v + v**2)|a||b|, and the float32 dot
+    product of the rounded rows is within gamma'|a'||b'| of that, whatever
+    the order or use of fused multiply-adds (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.1). Euclidean, with
+    P = (r_a + r_b) / 2 >= |a||b| up to float64 terms: rounding ``h_b``,
+    the difference ``g - h_b`` (at most 2P in size) and the least value
+    adds v*P, 2v*P and v*(P + t**2 / 2), so the test holds whenever
+    ``eps >= gamma' + 6v`` plus the float64 terms above, which stay under
+    v for d <= 2**20, and ``eps >= kappa + v`` for the cut term. Cosine and
+    correlation: |a||b| <= 1 + (d + 2)u, and the least value rounds by
+    v * (1 + t + eps), so ``eps >= gamma' + 3v`` plus float64 terms and
+    ``eps >= kappa + 2v`` suffice. ``eps = 2 * (gamma' + 8v + kappa)``
+    meets them with gamma' + 8v + kappa to spare: at least 2**-85 in
+    absolute terms (P >= 2**-64), or 2**-21 for unit rows. The spare covers
+    float32 underflow, which the relative bounds leave out: an entry or a
+    product below 2**-126 rounds by at most 2**-150 and sums there are
+    exact, which adds at most (sqrt(d) * 2**32 + d) * 2**-149 <= 2**-105 to
+    a product (|a| is about 2**32 at most) and 2**-150 to a least value.
+    The range keeps every float32 value finite, at most about 2**65; a
+    least value below float32's range rounds to -inf, which only adds
+    edges. Rows outside the range, such as unnormalized descriptors of size
+    1e-30 or 1e30, and non-finite rows keep float64 blocks and the eps
+    above.
+
+    Threads. The Gram blocks are made on one thread per usable CPU
+    (``os.sched_getaffinity``), at most two blocks per thread in flight,
+    and only the calling thread folds their edges into the union-find, in
+    block order; a root is always its set's smallest member, so the
+    components do not depend on that order. A worker runs numpy only: the
+    product, the subtraction, the finiteness test, the edge mask and
+    ``np.nonzero``. The pool is shut down before the grouping returns or
+    raises, and with one usable CPU no thread is started.
+
+    Memory is O(CPUs * _TILE * n) for the blocks in flight (a finished
+    block holds at most a byte per pair), plus O(_PACK**2 + m**2) for one
+    group's distances, where m is the largest component: never the whole
+    n x n matrix unless one component spans the input.
     """
     X, A = _checked_rows(observations, params.metric, params.normalize_descriptors)
     n = X.shape[0]
@@ -707,7 +839,9 @@ def cluster_ahc(observations, params: AhcParams = AhcParams()) -> Clustering:
 
     final: list[list[int]] = []
     for group in groups:
-        dist = compute_distances(X[group], params.metric, normalize=False)
+        rows = X if group.size == n else X[group]  # one component spans the input
+        dist = compute_distances(rows, params.metric, normalize=False)
+        del rows
         local = ahc_average_linkage(dist, params)
         del dist  # the next group's matrix is made without this one
         final.extend(group[list(c)].tolist() for c in local.clusters)

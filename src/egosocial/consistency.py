@@ -143,11 +143,15 @@ def pairwise_pearson_matrix(vectors: np.ndarray) -> np.ndarray:
     return R
 
 
-def _mean_to_rest(R: np.ndarray, current: list[int], pos: int) -> float:
-    """Mean correlation of member `pos` to the other current members; -inf if
-    every pair is undefined (degenerate members always prune first)."""
-    others = [q for q in current if q != pos]
-    row = R[pos, others]
+def _mean_to_rest(R: np.ndarray, live: np.ndarray, pos: int) -> float:
+    """Mean correlation of member `pos` to the other live members; -inf if
+    every pair is undefined (degenerate members always prune first).
+
+    ``live`` masks the current members; the correlations are taken in
+    position order."""
+    others = live.copy()
+    others[pos] = False
+    row = R[pos][others]
     row = row[np.isfinite(row)]
     if row.size == 0:
         return -math.inf
@@ -176,13 +180,15 @@ def _prune(R: np.ndarray, members: tuple[int, ...], member_min: float) -> tuple[
     F = np.where(finite, R, 0.0)
     S = F.sum(axis=1)
     N = finite.sum(axis=1)
+    Ft = np.ascontiguousarray(F.T)  # column w of F is row w here
+    finite_t = np.ascontiguousarray(finite.T)
     live = np.ones(m, dtype=bool)
-    current = list(range(m))
     removed: list[int] = []
     eps = np.finfo(np.float64).eps
-    while len(current) >= 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            approx = np.where(N > 0, S / N, -np.inf)
+    approx = np.empty(m)
+    while m - len(removed) >= 2:
+        approx.fill(-np.inf)
+        np.divide(S, N, out=approx, where=N > 0)
         approx[~live] = np.inf
         lo = approx.min()
         if lo == -np.inf:
@@ -193,17 +199,16 @@ def _prune(R: np.ndarray, members: tuple[int, ...], member_min: float) -> tuple[
             delta = ((m + len(removed)) * m / N[live].min() + m + 2) * eps
             candidates = np.flatnonzero(approx <= lo + 2.0 * delta)
         worst_score, worst_pos = min(
-            ((_mean_to_rest(R, current, int(p)), int(p)) for p in candidates),
+            ((_mean_to_rest(R, live, int(p)), int(p)) for p in candidates),
             key=lambda s: (s[0], members[s[1]]),
         )
         if worst_score >= member_min:
             break
         live[worst_pos] = False
-        current.remove(worst_pos)
         removed.append(members[worst_pos])
-        S -= F[:, worst_pos]
-        N -= finite[:, worst_pos]
-    return current, removed
+        S -= Ft[worst_pos]
+        N -= finite_t[worst_pos]
+    return np.flatnonzero(live).tolist(), removed
 
 
 def apply_consistency(

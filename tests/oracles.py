@@ -223,6 +223,31 @@ def lance_williams_linkage(D0: np.ndarray, cut: float) -> set[frozenset[int]]:
     return {frozenset(m) for m in clusters.values()}
 
 
+def naive_components(E: np.ndarray, threshold: float) -> list[list[int]]:
+    """Connected components of the graph with an edge wherever E <= threshold.
+
+    A depth-first search over every entry, one node at a time. Components are
+    ordered by their smallest member, members ascending.
+    """
+    n = len(E)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in range(n):
+                if not seen[j] and E[i, j] <= threshold:
+                    seen[j] = True
+                    stack.append(j)
+        components.append(sorted(members))
+    return components
+
+
 def partition_of(clustering) -> set[frozenset[int]]:
     return {frozenset(members) for members in clustering.clusters}
 

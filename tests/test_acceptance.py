@@ -11,14 +11,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import resource
 import time as systime
-from datetime import time, timedelta
+from datetime import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from egosocial.cli import main
 from egosocial.clustering import (
@@ -36,7 +34,6 @@ from egosocial.consistency import (
     apply_consistency,
 )
 from egosocial.evaluation import GroundTruth, pairwise_prf
-from egosocial.ingest import Dataset, FaceObservation
 from egosocial.profile import build_profiles, compute_traits
 from egosocial.render import radar_spec_from_profiles, render_radar, render_table
 from egosocial.segmentation import (
@@ -46,7 +43,6 @@ from egosocial.segmentation import (
 )
 from egosocial.synth import ScheduledInteraction, SynthConfig, generate
 
-import conftest
 from conftest import at, config_to_dict, dataset_from_matrix, pad128
 from oracles import (
     cluster_mean_correlation,

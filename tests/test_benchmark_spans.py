@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import threading
 from datetime import time
 from pathlib import Path
 
 from conftest import config_to_dict
+from egosocial import clustering
 from egosocial.cli import main
 from egosocial.synth import ScheduledInteraction, SynthConfig
 
@@ -59,3 +61,38 @@ def test_every_pipeline_span_fires(tmp_path):
     calls, counts, _ = spans.totals(tracer.spans, "consistency.filter")
     assert calls == 1 and counts["clusters"] >= 2
     assert spans.totals(tracer.spans, "render.radar")[1]["charts"] == 2  # wearer-0 and overlay
+
+
+def test_grouping_opens_every_span_on_the_calling_thread(rng, monkeypatch):
+    # perfbench's tracer assumes calls are nested and sequential in one thread:
+    # the grouping's workers must never call a function it wraps, and none of
+    # them may outlive cluster_ahc.
+    spans = _load_spans()
+    opened = []
+
+    class Recorder(spans.Tracer):
+        def wrap(self, name, fn, counter=None):
+            traced = super().wrap(name, fn, counter)
+
+            def recorded(*args, **kwargs):
+                opened.append(threading.current_thread())
+                return traced(*args, **kwargs)
+
+            return recorded
+
+    X = rng.standard_normal((20, 16))[rng.integers(0, 20, size=1100)]
+    X += 0.01 * rng.standard_normal(X.shape)
+    assert len(X) > clustering._BIN
+    monkeypatch.setattr(clustering.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    before = threading.active_count()
+    tracer = Recorder()
+    with tracer.installed(spans.PIPELINE_POINTS):
+        params = clustering.AhcParams(cut_threshold=1.0, normalize_descriptors=False)
+        result = clustering.cluster_ahc(X, params)
+    assert result.n_clusters == 20
+    assert threading.active_count() == before
+    names = {span["name"] for span in tracer.spans}
+    assert names == {"clustering.distances", "clustering.linkage"}
+    assert len(opened) == len(tracer.spans) > 2
+    assert all(thread is threading.main_thread() for thread in opened)
+    assert all(t >= 0.0 for t in spans.self_times(tracer.spans).values())

@@ -13,7 +13,6 @@ import warnings
 from datetime import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -40,7 +39,6 @@ from egosocial.synth import (
     SynthConfigError,
     config_from_dict,
     dump_config,
-    generate,
 )
 
 
@@ -886,11 +884,12 @@ def test_deeply_nested_document_rejected(tmp_path, synth_dir, capsys, command, m
 
 
 @_DEEP_DOCUMENT_COMMANDS
-def test_deeply_nested_document_names_the_line_of_its_deepest_bracket(
+def test_deeply_nested_document_named_by_the_line_the_decoder_stops_on(
     tmp_path, synth_dir, capsys, command, message
 ):
     # Line 1 holds a string of brackets and a shallow run, line 2 the deep one,
-    # and line 3 closes some of it and opens a shallower run.
+    # where the decoder gives up, and line 3 closes some of it and opens a
+    # shallower run.
     text = '{"a": "[[[[", "b": ' + "[" * 100 + "]" * 100 + ',\n "c": ' + "[" * 100_000
     text += "\n" + "]" * 10 + "[" * 5
     err = _reject_deep(tmp_path, synth_dir, capsys, command, text)

@@ -44,6 +44,7 @@ from oracles import (
     lance_williams_linkage,
     naive_average_linkage,
     naive_clustering_fault,
+    naive_components,
     partition_of,
     pearson,
 )
@@ -509,7 +510,8 @@ def test_near_pair_chunk_size_changes_no_bit(rng, monkeypatch, metric):
 
 
 # --- cluster_ahc on more rows than one group holds ------------------------------------
-# _BIN is lowered so that small inputs take the grouped path.
+# _BIN is lowered so that small inputs take the grouped path, and _PACK so
+# that their components are packed into several groups.
 
 
 @st.composite
@@ -561,7 +563,8 @@ def test_grouped_ahc_matches_whole_matrix_and_oracle(case, at, scale, rows_per_g
     params = AhcParams(metric=metric, cut_threshold=cut, normalize_descriptors=normalize)
     whole = ahc_average_linkage(DistanceMatrix(entries=D, metric_tag=metric), params)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clustering_module, "_BIN", min(rows_per_group, len(X) - 1))
+        mp.setattr(clustering_module, "_BIN", len(X) - 1)
+        mp.setattr(clustering_module, "_PACK", min(rows_per_group, len(X) - 1))
         grouped = cluster_ahc(X, params)
     assert grouped == whole
     assert partition_of(whole) == lance_williams_linkage(D, cut)
@@ -585,7 +588,7 @@ def test_grouping_never_splits_pairs_within_the_cut(seed, metric, magnitude, sca
     cut = float(D[0, int(rng.integers(1, n))]) * scale or 1.0
     A = X if metric == "euclidean" else clustering_module._unit_rows(X, metric, [])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clustering_module, "_BIN", 1)
+        mp.setattr(clustering_module, "_PACK", 1)
         groups = clustering_module._cut_groups(A, metric == "euclidean", cut)
     assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(n))
     assert all(np.all(np.diff(g) > 0) for g in groups)
@@ -596,6 +599,100 @@ def test_grouping_never_splits_pairs_within_the_cut(seed, metric, magnitude, sca
     assert np.all(D[apart] > cut * (1.0 + 4.0 * n * 2.0**-53))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    metric=st.sampled_from(METRICS),
+    magnitude=st.sampled_from((1e-30, 1e-20, 1e30, 1e200)),
+    scale=st.sampled_from((1.0, 1.0 - 1e-12, 1.0 + 1e-12)),
+)
+def test_grouping_never_splits_pairs_within_the_cut_where_float32_hands_over(
+    seed, metric, magnitude, scale
+):
+    # Rows whose squared norms fall outside float32's proven range keep
+    # float64 blocks: a pair in different groups is still above the widest
+    # threshold, and a matrix that is not finite raises as the whole one does.
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(3, 40)), int(rng.integers(2, 20))
+    centres = rng.standard_normal((int(rng.integers(1, 6)), d))
+    X = (centres[rng.integers(0, len(centres), n)] + 0.05 * rng.standard_normal((n, d))) * magnitude
+    A = X if metric == "euclidean" else clustering_module._unit_rows(X, metric, [])
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = compute_distances(X, metric=metric, normalize=False).entries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering_module, "_PACK", 1)
+        if not np.isfinite(D).all():
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    clustering_module._cut_groups(A, metric == "euclidean", 1.0)
+            return
+        cut = float(D[0, int(rng.integers(1, n))]) * scale or 1.0
+        groups = clustering_module._cut_groups(A, metric == "euclidean", cut)
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(n))
+    label = np.empty(n, dtype=int)
+    for i, g in enumerate(groups):
+        label[g] = i
+    apart = label[:, None] != label[None, :]
+    assert np.all(D[apart] > cut * (1.0 + 4.0 * n * 2.0**-53))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=_exact_rows(),
+    at=st.integers(0, 10**6),
+    scale=st.sampled_from((1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 1.5)),
+    tile=st.integers(1, 8),
+    rows=st.integers(1, 4),
+    rows_per_group=st.integers(1, 23),
+)
+def test_grouping_is_the_same_on_one_cpu_and_on_four(case, at, scale, tile, rows, rows_per_group):
+    # Small blocks, several to a thread, folded _ROWS rows at a time where dense.
+    metric, normalize, X = case
+    X, A = clustering_module._checked_rows(X, metric, normalize)
+    D = compute_distances(X, metric=metric, normalize=False).entries
+    values = np.unique(D[D > 0])
+    cut = float(values[at % values.size]) * scale if values.size else scale
+    found = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering_module.os, "sched_getaffinity", lambda pid: cpus)
+            mp.setattr(clustering_module, "_TILE", tile)
+            mp.setattr(clustering_module, "_ROWS", rows)
+            mp.setattr(clustering_module, "_PACK", rows_per_group)
+            groups = clustering_module._cut_groups(A, metric == "euclidean", cut)
+        found.append([g.tolist() for g in groups])
+    assert found[0] == found[1]
+    label = np.empty(len(X), dtype=int)
+    for i, g in enumerate(found[0]):
+        label[g] = i
+    apart = label[:, None] != label[None, :]
+    assert np.all(D[apart] > cut * (1.0 + 4.0 * len(X) * 2.0**-53))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    at=st.integers(0, 10**6),
+    rows=st.integers(1, 8),
+    outliers=st.integers(0, 3),
+)
+def test_cut_components_match_a_search_over_every_entry(seed, at, rows, outliers):
+    # Tight blobs whose pairs are all within a cut above their spread join into
+    # one giant component, with or without far-off outliers anywhere in the
+    # order; a cut at an exact entry value puts ties on the threshold.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    centres = rng.standard_normal((int(rng.integers(1, 4)), 6))
+    X = centres[rng.integers(0, len(centres), n)] + 0.1 * rng.standard_normal((n, 6))
+    X[rng.integers(0, n, outliers)] += 100.0
+    E = compute_distances(X, normalize=False).entries
+    threshold = float(np.sort(E, axis=None)[at % E.size])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering_module, "_ROWS", rows)
+        found = clustering_module._cut_components(E, threshold)
+    assert [c.tolist() for c in found] == naive_components(E, threshold)
+
+
 def test_component_larger_than_a_group_is_a_group_of_its_own(rng, monkeypatch):
     sizes = [2, 9, 1, 3, 2, 1]
     centres = 10.0 * rng.standard_normal((len(sizes), 8))
@@ -604,6 +701,7 @@ def test_component_larger_than_a_group_is_a_group_of_its_own(rng, monkeypatch):
     params = _euclid_params(1.0)
     whole = ahc_average_linkage(compute_distances(X, normalize=False), params)
     monkeypatch.setattr(clustering_module, "_BIN", 4)
+    monkeypatch.setattr(clustering_module, "_PACK", 4)
     groups = clustering_module._cut_groups(X, True, 1.0)
     # Components in order of smallest member, packed into groups of <= 4 rows.
     by_min = sorted(whole.clusters)
@@ -625,6 +723,7 @@ def test_clusters_split_from_a_component_are_ordered_across_groups(monkeypatch):
     X = np.array([[0.0], [0.9], [50.0], [1.9]])
     params = _euclid_params(1.0)
     monkeypatch.setattr(clustering_module, "_BIN", 3)
+    monkeypatch.setattr(clustering_module, "_PACK", 3)
     assert [g.tolist() for g in clustering_module._cut_groups(X, True, 1.0)] == [[0, 1, 3], [2]]
     assert cluster_ahc(X, params).clusters == ((0, 1), (2,), (3,))
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from datetime import date, timedelta
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from conftest import (
     content_line_count,
     edit_lines,
     line_edits,
-    observations_from_matrix,
     two_field_edits,
 )
 from egosocial.clustering import clustering_from_clusters
