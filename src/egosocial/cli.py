@@ -31,6 +31,7 @@ from typing import IO
 
 from . import __version__
 from .clustering import (
+    METRICS,
     AhcParams,
     Clustering,
     MeanShiftParams,
@@ -79,18 +80,18 @@ class RunConfig:
     """Analytic parameters of a run; paths never enter the fingerprint."""
 
     method: str = "ahc"
-    metric: str = "euclidean"
-    cut_threshold: float = 0.9
-    normalize: bool = True
+    metric: str = AhcParams.metric
+    cut_threshold: float = AhcParams.cut_threshold
+    normalize: bool = AhcParams.normalize_descriptors
     bandwidth: float | None = None
     k: int | None = None
     affinity_scale: float | None = None
     seed: int = 0
-    robust_mean: float = 0.8
-    reject_mean: float = 0.4
-    member_min: float = 0.70
-    min_event_min: float = 3.0
-    max_gap_min: float = 15.0
+    robust_mean: float = ConsistencyThresholds.robust_mean
+    reject_mean: float = ConsistencyThresholds.reject_mean
+    member_min: float = ConsistencyThresholds.member_min
+    min_event_min: float = SegmentationParams.min_event_minutes
+    max_gap_min: float = SegmentationParams.max_gap_minutes
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -445,11 +446,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config, dataset = _begin(args)
     if not dataset.wearers():  # build_profiles' reject, before anything is written
         raise ValueError("need at least one wearer")
+    per_wearer, reports = _cluster_stage(dataset, config)  # may reject; nothing written yet
     out = Path(args.out)
     prov = _provenance(config)
     _write_json(out / "params.json", prov)
-
-    per_wearer, reports = _cluster_stage(dataset, config)
     _write_clustering(out, per_wearer, reports, prov)
     interactions, stats = _segment_stage(per_wearer, config.segmentation_params())
     _write_segmentation(out, interactions, stats, prov)
@@ -499,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cluster_p = argparse.ArgumentParser(add_help=False)
     cluster_p.add_argument("--method", choices=METHODS, help="clustering method (default ahc)")
-    cluster_p.add_argument("--metric", choices=("euclidean", "cosine", "correlation"))
+    cluster_p.add_argument("--metric", choices=METRICS)
     cluster_p.add_argument("--cut-threshold", dest="cut_threshold", type=float)
     cluster_p.add_argument(
         "--normalize",

@@ -13,6 +13,7 @@ clustering is seeded. Repeat runs on identical inputs are bit-identical.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 from collections import deque
@@ -640,8 +641,10 @@ def _fold_blocks(parent: np.ndarray, block, n: int) -> None:
     more than a byte per pair. Such a block is folded _ROWS rows at a time,
     without the pairs whose rows already share a root. Blocks are made on
     one thread per usable CPU, at most two per thread in flight, and only
-    the calling thread folds them, in order; with one CPU no thread is
-    started. No block is made once every row from lo on has one root.
+    the calling thread folds them, in order. A block is made in a copy of
+    the caller's context, so ``np.errstate``, a context variable since
+    numpy 2, holds there as on the calling thread. No block is made once
+    every row from lo on has one root.
     """
 
     def fold(lo: int, found) -> None:
@@ -656,12 +659,6 @@ def _fold_blocks(parent: np.ndarray, block, n: int) -> None:
 
     starts = range(0, n, _TILE)
     workers = min(len(os.sched_getaffinity(0)), len(starts))
-    if workers <= 1:
-        for lo in starts:
-            if _joined(parent, lo):
-                return
-            fold(lo, block(lo))
-        return
     # Imported here: concurrent.futures (with logging) adds about 0.6 MB of
     # resident memory to every process that imports this module.
     from concurrent.futures import ThreadPoolExecutor
@@ -671,7 +668,7 @@ def _fold_blocks(parent: np.ndarray, block, n: int) -> None:
         for lo in starts:
             if _joined(parent, lo):
                 break
-            pending.append((lo, pool.submit(block, lo)))
+            pending.append((lo, pool.submit(contextvars.copy_context().run, block, lo)))
             if len(pending) == 2 * workers:
                 done, future = pending.popleft()
                 fold(done, future.result())
@@ -687,11 +684,12 @@ def _cut_groups(A: np.ndarray, euclidean: bool, cut: float) -> list[np.ndarray]:
     distance is within the cut plus a slack ``eps`` (see
     :func:`cluster_ahc`). The Gram matrix is formed in float32, or in
     float64 where the float32 proof does not hold, _TILE rows of the upper
-    triangle at a time by :func:`_fold_blocks`, and each block's edges are
-    folded into the union-find :func:`_cut_components` uses too, and
-    dropped. Components, ordered by smallest member, are packed in that
-    order into groups of at most ``_PACK`` rows; a larger component is a
-    group of its own. Each group's rows are ascending.
+    triangle at a time on the worker threads of :func:`_fold_blocks`, and
+    each block's edges are folded into the union-find
+    :func:`_cut_components` uses too, and dropped. Components, ordered by
+    smallest member, are packed in that order into groups of at most
+    ``_PACK`` rows; a larger component is a group of its own. Each group's
+    rows are ascending.
     """
     n, d = A.shape
     r = np.einsum("ij,ij->i", A, A)
@@ -823,7 +821,7 @@ def cluster_ahc(observations, params: AhcParams = AhcParams()) -> Clustering:
     components do not depend on that order. A worker runs numpy only: the
     product, the subtraction, the finiteness test, the edge mask and
     ``np.nonzero``. The pool is shut down before the grouping returns or
-    raises, and with one usable CPU no thread is started.
+    raises, so no thread outlives it; with one usable CPU it has one worker.
 
     Memory is O(CPUs * _TILE * n) for the blocks in flight (a finished
     block holds at most a byte per pair), plus O(_PACK**2 + m**2) for one

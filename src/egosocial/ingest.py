@@ -49,12 +49,9 @@ its own checks run) as it is read; then the dataclass's own checks; then the
 first key that names no field, the object's own keys before those of the
 objects in its fields. :func:`_json_document` alone writes a document.
 
-:func:`_jsonl` alone writes line records, one line at a time, and every line
-is the bytes ``json.dumps`` writes for its record, with a 1-D float64 array
-value written as its list. orjson writes such an array where its entries are
-0 or lie in 1e-4 <= |x| < 1e16: there ``float.__repr__``, and so json, prints
-a plain decimal, and orjson prints the same shortest round-trip digits the
-same way. json writes every other entry and every other value.
+:func:`_jsonl` writes line records, one ``json.dumps`` line a record, and
+:func:`serialize_observations` writes the observation lines; both end and
+join their lines through :func:`_joined_lines`.
 """
 
 from __future__ import annotations
@@ -734,35 +731,14 @@ def _float_list(row: np.ndarray) -> str:
     return "[" + ", ".join(tokens) + "]"
 
 
-def _jsonl_line(record: dict) -> str:
-    """``json.dumps(record)``, with each 1-D float64 array value written as its list.
-
-    The items up to and including such a value are written by one
-    ``json.dumps``, with 0 for the value, which writes them as it writes them
-    in ``record``; the 0 then gives way to the list. Any other array is left
-    to json, which refuses it.
-    """
-    if np.ndarray not in map(type, record.values()):
-        return json.dumps(record)
-    groups: list[str] = []
-    run: dict = {}
-    for key, value in record.items():
-        if type(value) is np.ndarray and value.ndim == 1 and value.dtype == np.float64:
-            run[key] = 0
-            groups.append(json.dumps(run)[1:-2] + _float_list(value))
-            run = {}
-        else:
-            run[key] = value
-    if run:
-        groups.append(json.dumps(run)[1:-1])
-    return "{" + ", ".join(groups) + "}"
+def _joined_lines(lines: list[str]) -> str:
+    """The line-record form :func:`_records` reads: each line ended by a newline."""
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _jsonl(records: Iterable[dict]) -> str:
-    """The line-record form :func:`_records` reads: one JSON object a line, each ended,
-    written by :func:`_jsonl_line` one line at a time."""
-    lines = [_jsonl_line(record) for record in records]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One ``json.dumps`` line a record."""
+    return _joined_lines([json.dumps(record) for record in records])
 
 
 def _json_default(value: object) -> object:
@@ -781,17 +757,32 @@ def _json_document(doc: object) -> str:
 
 
 def serialize_observations(dataset: Dataset) -> str:
-    """Emit the observation line format; inverse of :func:`parse_observations`."""
-    return _jsonl(
-        {
-            "wearer_id": obs.wearer_id,
-            "day": obs.day.isoformat(),
-            "timestamp": obs.timestamp.isoformat(),
-            "image_id": obs.image_id,
-            "face_index": obs.face_index,
-            "descriptor": obs.descriptor,
-        }
-        for obs in dataset.observations
+    """Emit the observation line format; inverse of :func:`parse_observations`.
+
+    Each line is the bytes ``json.dumps`` writes for the record with the
+    descriptor as its list. The fields before the descriptor are written by
+    one ``json.dumps``, with 0 for the descriptor, which then gives way to
+    :func:`_float_list`'s text: orjson writes the entries that are 0 or lie in
+    1e-4 <= |x| < 1e16, where ``float.__repr__``, and so json, prints a plain
+    decimal, and orjson prints the same shortest round-trip digits the same
+    way. json writes every other entry.
+    """
+    return _joined_lines(
+        [
+            json.dumps(
+                {
+                    "wearer_id": obs.wearer_id,
+                    "day": obs.day.isoformat(),
+                    "timestamp": obs.timestamp.isoformat(),
+                    "image_id": obs.image_id,
+                    "face_index": obs.face_index,
+                    "descriptor": 0,
+                }
+            )[:-2]
+            + _float_list(obs.descriptor)
+            + "}"
+            for obs in dataset.observations
+        ]
     )
 
 

@@ -34,6 +34,9 @@ PALETTE = (
 
 GRID_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
+# Width and height of the square canvas every chart is drawn on.
+CANVAS = 640.0
+
 
 class EmptyChartError(ValueError):
     """A radar chart needs at least one series."""
@@ -56,14 +59,10 @@ class RadarSpec:
     axes: tuple[str, str, str, str, str] = AXIS_LABELS
     series: tuple[RadarSeries, ...] = ()
     overlay: bool = True
-    width: float = 640.0
-    height: float = 640.0
 
     def __post_init__(self):
         if len(self.axes) != 5:
             raise ValueError("radar charts have exactly five axes")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("canvas dimensions must be positive")
 
 
 def radar_spec_from_profiles(
@@ -101,20 +100,20 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
     if not spec.series:
         raise EmptyChartError("cannot render a radar chart with no series")
 
-    cx = spec.width / 2.0
-    cy = spec.height / 2.0 + 0.04 * spec.height
-    radius = 0.34 * min(spec.width, spec.height)
+    cx = CANVAS / 2.0
+    cy = CANVAS / 2.0 + 0.04 * CANVAS
+    radius = 0.34 * CANVAS
 
     parts: list[str] = []
     parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(spec.width)}" '
-        f'height="{_fmt(spec.height)}" viewBox="0 0 {_fmt(spec.width)} {_fmt(spec.height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(CANVAS)}" '
+        f'height="{_fmt(CANVAS)}" viewBox="0 0 {_fmt(CANVAS)} {_fmt(CANVAS)}">'
     )
     if provenance:
         parts.append(f"  <desc>provenance: {_escape(provenance)}</desc>")
     title = "social profiles (overlay)" if spec.overlay else "social profile"
     parts.append(
-        f'  <text x="{_fmt(cx)}" y="{_fmt(0.06 * spec.height)}" text-anchor="middle" '
+        f'  <text x="{_fmt(cx)}" y="{_fmt(0.06 * CANVAS)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="18">{_escape(title)}</text>'
     )
 
@@ -150,7 +149,7 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
             f'stroke-width="2"/>'
         )
 
-    legend_y = 0.06 * spec.height
+    legend_y = 0.06 * CANVAS
     for idx, series in enumerate(spec.series):
         color = PALETTE[idx % len(PALETTE)]
         y = legend_y + 22.0 * idx
@@ -164,7 +163,7 @@ def render_radar(spec: RadarSpec, provenance: str | None = None) -> str:
         )
 
     parts.append(
-        f'  <text x="{_fmt(cx)}" y="{_fmt(0.985 * spec.height)}" text-anchor="middle" '
+        f'  <text x="{_fmt(cx)}" y="{_fmt(0.985 * CANVAS)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11" fill="#666666">'
         f"axes: cohort min-max normalized; alone time inverted (sociality)</text>"
     )

@@ -21,7 +21,9 @@ import egosocial
 from conftest import config_to_dict, dataset_from_matrix, odd_values
 from egosocial import cli, clustering
 from egosocial.cli import main
+from egosocial.consistency import ConsistencyThresholds
 from egosocial.ingest import serialize_observations
+from egosocial.segmentation import SegmentationParams
 from oracles import (
     RUN_CONFIG_KINDS,
     SCHEDULE_ENTRY_KINDS,
@@ -818,6 +820,36 @@ def test_bad_method_setting_rejected_before_anything_is_written(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        (1, ["--method", "meanshift"], "need at least 2 observations to estimate a bandwidth"),
+        (2, ["--method", "spectral", "--k", "3"], "need 1 <= k <= 2, got k=3"),
+    ],
+    ids=["meanshift-one-observation", "spectral-k-above-observations"],
+)
+@pytest.mark.parametrize("command", ["cluster", "pipeline"])
+def test_failed_clustering_writes_nothing(
+    tmp_path, synth_dir, capsys, command, lines, flags, message
+):
+    obs = tmp_path / "obs.jsonl"
+    head = (synth_dir / "observations.jsonl").read_text().splitlines(keepends=True)[:lines]
+    obs.write_text("".join(head))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main([command, "--obs", str(obs), "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not out.exists()
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    config = cli.RunConfig()
+    assert config.ahc_params() == clustering.AhcParams()
+    assert config.thresholds() == ConsistencyThresholds()
+    assert config.segmentation_params() == SegmentationParams()
+
+
 @pytest.fixture
 def empty_synth_dir(tmp_path):
     """synth's output for an empty schedule: no observation, one coverage entry a day."""
@@ -1440,11 +1472,12 @@ def test_loading_observations_peaks_below_the_file_size(tmp_path, rng):
     assert peak < size, peak / size
 
 
-def test_importing_the_cli_leaves_out_the_network_modules():
-    # xml.sax.saxutils would import urllib.request, http.client, email and ssl.
+def _loaded_by_importing_the_cli(prefixes: tuple[str, ...]) -> str:
+    """The modules, among those named by ``prefixes``, that a fresh interpreter
+    holds after ``import egosocial.cli``, printed as a sorted list."""
     src = str(Path(egosocial.__file__).resolve().parents[1])
-    code = "import sys, egosocial.cli; print(sorted(m for m in sys.modules if m.startswith(("
-    code += "'urllib.request', 'http', 'email', 'ssl', 'xml'))))"
+    code = "import sys, egosocial.cli; print(sorted(m for m in sys.modules if m.startswith("
+    code += f"{prefixes!r})))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={"PYTHONPATH": src},
@@ -1452,4 +1485,16 @@ def test_importing_the_cli_leaves_out_the_network_modules():
         text=True,
         check=True,
     )
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_importing_the_cli_leaves_out_the_network_modules():
+    # xml.sax.saxutils would import urllib.request, http.client, email and ssl.
+    network = ("urllib.request", "http", "email", "ssl", "xml")
+    assert _loaded_by_importing_the_cli(network) == "[]\n"
+
+
+def test_importing_the_cli_leaves_out_the_thread_pool():
+    # concurrent.futures (with logging) adds about 0.6 MB of resident memory; only
+    # a grouping pass needs it.
+    assert _loaded_by_importing_the_cli(("concurrent",)) == "[]\n"

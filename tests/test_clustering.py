@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -726,6 +727,33 @@ def test_clusters_split_from_a_component_are_ordered_across_groups(monkeypatch):
     monkeypatch.setattr(clustering_module, "_PACK", 3)
     assert [g.tolist() for g in clustering_module._cut_groups(X, True, 1.0)] == [[0, 1, 3], [2]]
     assert cluster_ahc(X, params).clusters == ((0, 1), (2,), (3,))
+
+
+def test_grouping_on_one_cpu_leaves_no_thread_behind(rng, monkeypatch):
+    # One usable CPU gives the pool one worker, shut down before cluster_ahc returns.
+    X = rng.standard_normal((20, 16))[rng.integers(0, 20, size=1100)]
+    X += 0.01 * rng.standard_normal(X.shape)
+    assert len(X) > clustering_module._BIN
+    params = _euclid_params(1.0)
+    whole = ahc_average_linkage(compute_distances(X, normalize=False), params)
+    monkeypatch.setattr(clustering_module.os, "sched_getaffinity", lambda pid: {0})
+    before = threading.active_count()
+    assert cluster_ahc(X, params) == whole
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="np.errstate is a context variable only since numpy 2",
+)
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2, 3}], ids=["one-cpu", "four-cpus"])
+def test_grouping_blocks_run_under_the_callers_errstate(monkeypatch, cpus):
+    # Rows of size 1e200: every product overflows to inf, and subtracting the
+    # (infinite) half norms is an invalid value, first met inside a worker's block.
+    A = np.full((2 * clustering_module._TILE, 4), 1e200)
+    monkeypatch.setattr(clustering_module.os, "sched_getaffinity", lambda pid: cpus)
+    with np.errstate(over="ignore", invalid="raise"), pytest.raises(FloatingPointError):
+        clustering_module._cut_groups(A, True, 1.0)
 
 
 @pytest.mark.parametrize(

@@ -423,21 +423,13 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=6,
 )
-_FLOAT_ARRAYS = st.lists(
-    st.one_of(_DESCRIPTOR_ENTRIES, st.floats()), max_size=6
-).map(lambda values: np.array(values, dtype=np.float64))
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    records=st.lists(
-        st.dictionaries(st.text(), st.one_of(_JSON_VALUES, _FLOAT_ARRAYS), max_size=5),
-        max_size=3,
-    )
-)
+@given(records=st.lists(st.dictionaries(st.text(), _JSON_VALUES, max_size=5), max_size=3))
 def test_line_writer_writes_every_record_as_json_does(records):
-    """Array values anywhere in a record, between any other JSON values, non-finite
-    entries included."""
+    """Any JSON values, non-finite floats included; array values are the observation
+    writer's alone, tested above."""
     assert ingest._jsonl(records) == json_jsonl(records)
 
 
