@@ -125,9 +125,6 @@ class RunConfig:
     def segmentation_params(self) -> SegmentationParams:
         return SegmentationParams(self.min_event_min, self.max_gap_min)
 
-    def analytic_params(self) -> dict:
-        return asdict(self)
-
 
 def _read_document(path: Path, what: str) -> object:
     """The JSON value of a one-document input, named ``what`` in a reject message; an
@@ -154,7 +151,7 @@ def _settings(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
 
 def _announce(config: RunConfig, **settled) -> None:
     """Print the run's parameters; ``settled`` as in :func:`_provenance`."""
-    params = {**config.analytic_params(), **settled}
+    params = _provenance(config, **settled)["params"]
     summary = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
     print(f"egosocial {__version__} | {summary}", file=sys.stderr)
 
@@ -250,7 +247,7 @@ def _provenance(config: RunConfig, **settled) -> dict:
     ``settled`` replaces fields the command decided itself, such as the
     methods ``eval`` scored.
     """
-    params = {**config.analytic_params(), **settled}
+    params = {**asdict(config), **settled}
     canon = json.dumps(params, sort_keys=True, separators=(",", ":"))
     return {"fingerprint": hashlib.sha256(canon.encode()).hexdigest()[:16], "params": params}
 
@@ -444,6 +441,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     config, dataset = _begin(args)
+    if args.truth:  # read before anything is written, so a bad file leaves no output
+        with _open_lines(args.truth) as fh:
+            truth = parse_ground_truth(fh)
     if not dataset.wearers():  # build_profiles' reject, before anything is written
         raise ValueError("need at least one wearer")
     per_wearer, reports = _cluster_stage(dataset, config)  # may reject; nothing written yet
@@ -457,8 +457,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     _write_profiles(out, traits, prov)
 
     if args.truth:
-        with _open_lines(args.truth) as fh:
-            truth = parse_ground_truth(fh)
         pooled = _pooled_clustering(dataset, per_wearer)
         evaluation = MethodEvaluation(
             method=config.method,

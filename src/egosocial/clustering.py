@@ -479,6 +479,8 @@ def _merge_loop(D: np.ndarray, cut: float) -> list[list[int]]:
     smallest average exceeds ``cut``. Dead slots and the diagonal hold +inf,
     so the Lance-Williams row of a merge already holds +inf wherever no live
     partner is, and plain row and column writes keep D symmetric.
+    The cached row minima stay exact, so a merge's row ``a``, the first to hold
+    the smallest one, is below its partner ``b``, whose row holds it too.
     """
     m = D.shape[0]
     np.fill_diagonal(D, np.inf)
@@ -496,9 +498,7 @@ def _merge_loop(D: np.ndarray, cut: float) -> list[list[int]]:
         a = int(row_min.argmin())
         if not row_min[a] <= cut:
             break
-        b = int(row_arg[a])
-        if b < a:
-            a, b = b, a
+        b = int(row_arg[a])  # b > a: D is symmetric, and argmin takes the first minimum
 
         sa, sb = int(sizes[a]), int(sizes[b])
         merged_row = (sa * D[a] + sb * D[b]) / (sa + sb)
@@ -851,15 +851,21 @@ def cluster_ahc(observations, params: AhcParams = AhcParams()) -> Clustering:
 # baselines
 
 
-def estimate_bandwidth(observations, sample_size: int = 500, seed: int = 0) -> float:
-    """Median pairwise euclidean distance over a seeded subsample."""
+# Observations estimate_bandwidth samples, and Lloyd iterations _kmeans runs at most.
+_BANDWIDTH_SAMPLE = 500
+_KMEANS_ITER = 300
+
+
+def estimate_bandwidth(observations, seed: int = 0) -> float:
+    """Median pairwise euclidean distance over _BANDWIDTH_SAMPLE observations
+    drawn with ``seed``, or over all of them when there are no more."""
     X, _ = _descriptor_rows(observations)
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations to estimate a bandwidth")
-    if n > sample_size:
+    if n > _BANDWIDTH_SAMPLE:
         rng = np.random.default_rng(seed)
-        X = X[np.sort(rng.choice(n, size=sample_size, replace=False))]
+        X = X[np.sort(rng.choice(n, size=_BANDWIDTH_SAMPLE, replace=False))]
     d2 = _sq_dists(X, X)
     vals = np.sqrt(d2[np.triu_indices(X.shape[0], k=1)])
     return float(np.median(vals))
@@ -927,7 +933,7 @@ def meanshift(
     return clustering_from_labels(labels, "meanshift", params_used)
 
 
-def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300) -> np.ndarray:
+def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded k-means++ plus Lloyd iterations; deterministic per seed."""
     n = points.shape[0]
     rng = np.random.default_rng(seed)
@@ -945,7 +951,7 @@ def _kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 300) -> np.nd
 
     centers = points[chosen].copy()
     labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_ITER):
         d2 = _sq_dists(points, centers)
         new_labels = d2.argmin(axis=1)
         own = d2[np.arange(n), new_labels].copy()

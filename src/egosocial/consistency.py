@@ -48,6 +48,7 @@ lowest observation index first.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,17 +103,11 @@ class ConsistencyReport:
     thresholds: ConsistencyThresholds
     verdicts: tuple[ClusterVerdict, ...]
 
-    def counts(self) -> dict[str, int]:
-        tally: dict[str, int] = {}
-        for v in self.verdicts:
-            tally[v.status] = tally.get(v.status, 0) + 1
-        return tally
-
     def to_dict(self) -> dict:
         """The JSON form: the records themselves, plus the status tally."""
         return {
             "thresholds": self.thresholds,
-            "status_counts": self.counts(),
+            "status_counts": Counter(v.status for v in self.verdicts),
             "clusters": self.verdicts,
         }
 

@@ -180,29 +180,20 @@ class DayCoverage:
         return (self.end - self.start).total_seconds() / 60.0
 
 
-class _WearerPart(NamedTuple):
-    """One wearer's observations and coverage entries, each in the dataset's order."""
-
-    observations: list[FaceObservation]
-    coverage: dict[tuple[str, date], DayCoverage]
-
-
 def _index_wearers(
     observations: Sequence[FaceObservation], coverage: Mapping[tuple[str, date], DayCoverage]
-) -> dict[str, _WearerPart]:
-    """Every wearer with an observation or a coverage entry, mapped to its part."""
-    index: dict[str, _WearerPart] = {}
+) -> dict[str, Dataset]:
+    """Every wearer with an observation or a coverage entry, mapped to its slice.
 
-    def part(wearer_id: str) -> _WearerPart:
-        if wearer_id not in index:
-            index[wearer_id] = _WearerPart([], {})
-        return index[wearer_id]
-
+    A slice keeps the dataset's order of observations and of coverage entries.
+    """
+    own_obs: dict[str, list[FaceObservation]] = {}
+    own_cov: dict[str, dict[tuple[str, date], DayCoverage]] = {}
     for obs in observations:
-        part(obs.wearer_id).observations.append(obs)
+        own_obs.setdefault(obs.wearer_id, []).append(obs)
     for key, entry in coverage.items():
-        part(key[0]).coverage[key] = entry
-    return index
+        own_cov.setdefault(key[0], {})[key] = entry
+    return {w: Dataset(tuple(own_obs.get(w, ())), own_cov.get(w, {})) for w in own_obs | own_cov}
 
 
 @dataclass(frozen=True)
@@ -213,8 +204,8 @@ class Dataset:
     and every (wearer, day) present in the observations has a coverage
     entry; coverage days with no observations are legitimate (a day worn
     with no faces detected). The per-wearer index behind :meth:`wearers`
-    and :func:`slice_dataset` is built on first use and kept, so the
-    coverage mapping must not change after construction.
+    and :func:`slice_dataset` holds every wearer's slice, built once on first
+    use and kept, so the coverage mapping must not change after construction.
     """
 
     observations: tuple[FaceObservation, ...] = ()
@@ -224,7 +215,7 @@ class Dataset:
         return len(self.observations)
 
     @cached_property
-    def _wearer_index(self) -> dict[str, _WearerPart]:
+    def _wearer_index(self) -> dict[str, Dataset]:
         return _index_wearers(self.observations, self.coverage)
 
     def wearers(self) -> tuple[str, ...]:
@@ -810,10 +801,11 @@ def serialize_coverage(dataset: Dataset, include_synthesized: bool = False) -> s
 def slice_dataset(dataset: Dataset, wearer_id: str) -> Dataset:
     """Sub-dataset for one wearer.
 
-    Reads the dataset's per-wearer index, built on first use, so slicing
-    every wearer in turn costs one pass over the dataset, not one per call.
+    Returns the slice the dataset's per-wearer index built, on first use, for
+    every wearer at once: slicing every wearer in turn costs one pass over the
+    dataset, and slicing one wearer again returns the same object.
     """
     part = dataset._wearer_index.get(wearer_id)
     if part is None:
         raise UnknownWearerError(f"unknown wearer id {wearer_id!r}")
-    return Dataset(tuple(part.observations), dict(part.coverage))
+    return part

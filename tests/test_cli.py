@@ -370,9 +370,9 @@ def test_eval_and_cluster_draw_the_bandwidth_sample_with_the_run_seed(
     seeds = []
     real = clustering.estimate_bandwidth
 
-    def spy(observations, sample_size=500, seed=0):
+    def spy(observations, seed=0):
         seeds.append(seed)
-        return real(observations, sample_size, seed)
+        return real(observations, seed)
 
     monkeypatch.setattr(clustering, "estimate_bandwidth", spy)
     obs = str(wide_synth_dir / "observations.jsonl")
@@ -821,6 +821,28 @@ def test_bad_method_setting_rejected_before_anything_is_written(
 
 
 @pytest.mark.parametrize(
+    "lines, flags",
+    [(None, []), (1, ["--method", "meanshift"])],
+    ids=["clusterable", "clustering-would-reject"],
+)
+def test_bad_truth_file_rejected_before_anything_is_written(
+    tmp_path, synth_dir, capsys, lines, flags
+):
+    obs = tmp_path / "obs.jsonl"
+    head = (synth_dir / "observations.jsonl").read_text().splitlines(keepends=True)[:lines]
+    obs.write_text("".join(head))
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text("not json\n")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["pipeline", "--obs", str(obs), "--truth", str(truth), "--out", str(out), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: line 1: malformed record: Expecting value")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "lines, flags, message",
     [
         (1, ["--method", "meanshift"], "need at least 2 observations to estimate a bandwidth"),
@@ -1237,6 +1259,7 @@ def test_undecodable_byte_rejected_with_line(tmp_path, synth_dir, capsys, kind):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "error: line 2: undecodable byte 0xff at column 9"
+    assert not Path(out).exists()
 
 
 _FACE_INDEX = "face_index must be a non-negative integer, got "

@@ -660,6 +660,11 @@ def test_wearer_index_is_built_once_per_dataset(unsorted_dataset, monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_wearer_is_sliced_once(unsorted_dataset):
+    for wearer in unsorted_dataset.wearers():
+        assert slice_dataset(unsorted_dataset, wearer) is slice_dataset(unsorted_dataset, wearer)
+
+
 # --- line streams ---------------------------------------------------------------
 
 # Every separator str.splitlines() ends a line at, "\r\n" as one.

@@ -89,11 +89,12 @@ READERS = {
 
 
 def _outcome(read, text: str):
-    """What ``read(text)`` returns, or the message and line of the IngestError it raises."""
+    """What ``read(text)`` returns, or the type, message and line of the ValueError it
+    raises (an IngestError names its line)."""
     try:
         return read(text)
-    except IngestError as exc:
-        return IngestError, str(exc), exc.line_no
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
 
 
 def _json_outcome(read, text: str):
@@ -171,8 +172,9 @@ BELOW_INT64 = str(-(2**63) - 1)
 # --- pinned lines --------------------------------------------------------------
 
 _PINNED = {
-    # name: (reader, text, the start of its reject message, None if the text is
-    # read, or ... where json's verdict depends on the interpreter)
+    # name: (reader, text, the start of its IngestError's message, a (type, start
+    # of message) pair for another ValueError, None if the text is read, or ...
+    # where json's verdict depends on the interpreter)
     "face_index 2**64": ("observations", _edited("observations", face_index=TWO_64), None),
     "face_index -2**63-1": (
         "observations",
@@ -284,6 +286,16 @@ _PINNED = {
         _text("interactions", json.dumps(READERS["interactions"][0][1]) + " x"),
         "line 2: malformed record: Extra data",
     ),
+    "repeated wearer_id drops a clustering record": (
+        "clustering",
+        _text(
+            "clustering",
+            '{"wearer_id": "u1", "image_id": "img-002", "face_index": 0, "cluster_id": 1, '
+            '"wearer_id": "x"}',
+            2,
+        ),
+        (ValueError, "clustering file lacks a record for "),
+    ),
     "1,000-deep extra field": (
         "observations",
         _edited("observations", extra="[" * 1000 + "]" * 1000),
@@ -306,9 +318,11 @@ def test_pinned_line_is_read_as_json_reads_it(case):
     reader, text, reject = _PINNED[case]
     got = _assert_read_as_json(reader, text)
     if reject is None:
-        assert not (isinstance(got, tuple) and got[:1] == (IngestError,)), got
+        # _outcome gives an exception's type first; no reader returns a type.
+        assert not (isinstance(got, tuple) and got[:1] and isinstance(got[0], type)), got
     elif reject is not ...:
-        assert got[0] is IngestError and got[1].startswith(reject), got
+        kind, reject = reject if isinstance(reject, tuple) else (IngestError, reject)
+        assert got[0] is kind and got[1].startswith(reject), got
 
 
 def test_values_that_fast_decode_cannot_give_are_json_values():
