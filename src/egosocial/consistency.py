@@ -19,8 +19,11 @@ costs O(m^2) per removal, O(m^3) per cluster. Instead the prune keeps,
 for each member j, a running row sum ``S[j]`` of its finite correlations
 to the live members and their count ``N[j]``, both built once from the
 cluster's Pearson matrix. A removal of member w is one O(m) vector
-update, ``S -= F[:, w]`` and ``N -= finite[:, w]``, so a cluster that
-loses k of m members costs O(m^2) to build the sums and O(m) per round.
+update, ``S -= F[w]`` and ``N -= finite[w]``, so a cluster that loses k
+of m members costs O(m^2) to build the sums and O(m) per round. Row w
+is column w because the Pearson matrix is exactly symmetric: numpy forms
+``C @ C.T`` as a symmetric rank-k update that mirrors one triangle,
+``p_i * p_j == p_j * p_i`` exactly, and every later step is entrywise.
 
 ``S / N`` is only an estimate of the score: it rounds differently from
 ``_mean_to_rest``. Let u be the unit roundoff and ``T[j]`` the exact sum
@@ -116,7 +119,8 @@ def pairwise_pearson_matrix(vectors: np.ndarray) -> np.ndarray:
     """All-pairs Pearson matrix; NaN where a pair is undefined (and on the diagonal).
 
     Each entry is the mean-centered Pearson correlation of two rows, clamped
-    to [-1, 1]; vectorized for whole-cluster scoring.
+    to [-1, 1]; vectorized for whole-cluster scoring. Exactly symmetric:
+    ``R[i, j]`` equals ``R[j, i]`` to the bit, so a row stands for a column.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
@@ -125,15 +129,14 @@ def pairwise_pearson_matrix(vectors: np.ndarray) -> np.ndarray:
     centered = X - X.mean(axis=1, keepdims=True)
     valid = np.einsum("ij,ij->i", centered, centered) > 0.0
     R = np.full((m, m), np.nan)
-    if valid.any():
-        C = centered[valid]
-        G = C @ C.T
-        # Normalizing by the Gram diagonal (not separately computed norms)
-        # keeps bit-identical members at exactly 1.
-        p = np.diagonal(G)
-        sub = np.clip(G / np.sqrt(np.outer(p, p)), -1.0, 1.0)
-        idx = np.flatnonzero(valid)
-        R[np.ix_(idx, idx)] = sub
+    C = centered[valid]
+    G = C @ C.T
+    # Normalizing by the Gram diagonal (not separately computed norms)
+    # keeps bit-identical members at exactly 1.
+    p = np.diagonal(G)
+    sub = np.clip(G / np.sqrt(np.outer(p, p)), -1.0, 1.0)
+    idx = np.flatnonzero(valid)
+    R[np.ix_(idx, idx)] = sub
     np.fill_diagonal(R, np.nan)
     return R
 
@@ -143,10 +146,8 @@ def _mean_to_rest(R: np.ndarray, live: np.ndarray, pos: int) -> float:
     every pair is undefined (degenerate members always prune first).
 
     ``live`` masks the current members; the correlations are taken in
-    position order."""
-    others = live.copy()
-    others[pos] = False
-    row = R[pos][others]
+    position order. ``R``'s diagonal must be NaN: that is what drops ``pos``."""
+    row = R[pos][live]
     row = row[np.isfinite(row)]
     if row.size == 0:
         return -math.inf
@@ -154,8 +155,8 @@ def _mean_to_rest(R: np.ndarray, live: np.ndarray, pos: int) -> float:
 
 
 def _masked_mean(R: np.ndarray, current: list[int]) -> float | None:
-    sub = R[np.ix_(current, current)]
-    vals = sub[np.triu_indices(len(current), k=1)]
+    at = np.asarray(current)
+    vals = np.concatenate([R[i, at[k + 1:]] for k, i in enumerate(at)])
     vals = vals[np.isfinite(vals)]
     if vals.size == 0:
         return None
@@ -175,8 +176,6 @@ def _prune(R: np.ndarray, members: tuple[int, ...], member_min: float) -> tuple[
     F = np.where(finite, R, 0.0)
     S = F.sum(axis=1)
     N = finite.sum(axis=1)
-    Ft = np.ascontiguousarray(F.T)  # column w of F is row w here
-    finite_t = np.ascontiguousarray(finite.T)
     live = np.ones(m, dtype=bool)
     removed: list[int] = []
     eps = np.finfo(np.float64).eps
@@ -201,8 +200,8 @@ def _prune(R: np.ndarray, members: tuple[int, ...], member_min: float) -> tuple[
             break
         live[worst_pos] = False
         removed.append(members[worst_pos])
-        S -= Ft[worst_pos]
-        N -= finite_t[worst_pos]
+        S -= F[worst_pos]
+        N -= finite[worst_pos]
     return np.flatnonzero(live).tolist(), removed
 
 
@@ -274,7 +273,7 @@ def apply_consistency(
         n_observations=len(clustering.assignment),
         method_tag=clustering.method_tag,
         params_used=params,
-        discarded=tuple(sorted(discarded)),
+        discarded=tuple(discarded),
     )
     report = ConsistencyReport(thresholds=thresholds, verdicts=tuple(verdicts))
     return filtered, report

@@ -370,6 +370,21 @@ def naive_prune(R: np.ndarray, members, member_min: float):
     return removed, current, final_mean
 
 
+def triu_masked_mean(R: np.ndarray, current) -> float | None:
+    """Mean of the defined pairs among positions ``current`` (ascending).
+
+    Copies ``R[current][:, current]`` and reads its upper triangle in
+    row-major order, or returns None when no pair is defined: the formula
+    the package's cluster mean must equal exactly.
+    """
+    sub = R[np.ix_(current, current)]
+    vals = sub[np.triu_indices(len(current), k=1)]
+    vals = vals[np.isfinite(vals)]
+    if vals.size == 0:
+        return None
+    return float(vals.mean())
+
+
 # ---------------------------------------------------------------------------
 # observation reader: descriptor check and per-wearer slicing
 

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import egosocial.consistency as consistency
@@ -27,6 +28,7 @@ from oracles import (
     naive_prune,
     pearson,
     pearson_highprec,
+    triu_masked_mean,
 )
 
 
@@ -154,6 +156,45 @@ def test_cluster_mean_matches_pairwise_loop(rng):
     ]
     expected = sum(pairs) / len(pairs)
     assert abs(cluster_mean_correlation(X) - expected) < 1e-12
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 300),
+    d=st.integers(3, 129),
+    n_constant=st.integers(0, 4),
+    n_duplicates=st.integers(0, 8),
+)
+@settings(max_examples=60, deadline=None)
+@example(seed=1000, m=1000, d=128, n_constant=3, n_duplicates=8)
+def test_pearson_matrix_is_exactly_symmetric_with_nan_diagonal(seed, m, d, n_constant, n_duplicates):
+    # The prune reads row w of R for column w, which holds only bit for bit.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+    for _ in range(n_duplicates):
+        i, j = rng.integers(0, m, 2)
+        X[i] = X[j]
+    for i in rng.integers(0, m, n_constant):
+        X[i] = float(rng.integers(-1000, 1001))  # an integer mean is exact: a NaN row
+    R = pairwise_pearson_matrix(X)
+    assert np.array_equal(R, R.T, equal_nan=True)
+    assert np.isnan(np.diagonal(R)).all()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 60),
+    n_nan_rows=st.integers(0, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_cluster_mean_equals_the_triu_oracle(seed, m, n_nan_rows):
+    rng = np.random.default_rng(seed)
+    R = rng.uniform(-1.0, 1.0, (m, m))
+    for i in rng.integers(0, m, n_nan_rows):
+        R[i, :] = R[:, i] = np.nan
+    np.fill_diagonal(R, np.nan)
+    current = sorted(rng.choice(m, int(rng.integers(2, m + 1)), replace=False).tolist())
+    assert consistency._masked_mean(R, current) == triu_masked_mean(R, current)
 
 
 def _single_cluster(dataset):
@@ -457,3 +498,22 @@ def test_prune_scores_few_members_per_removal(monkeypatch):
     assert status == STATUS_PRUNED
     assert len(removed) >= 200
     assert calls <= 3 * (len(removed) + 1)
+
+
+def test_prune_holds_one_float_copy_of_the_matrix():
+    """Beside R the prune keeps its finite part and mask: no transposed copies."""
+    m = 1000
+    rng = np.random.default_rng(1000)
+    loadings = np.concatenate([rng.uniform(0.86, 0.97, 700), rng.uniform(0.2, 0.8, 300)])
+    R = pairwise_pearson_matrix(_graded_members(rng, loadings))
+    assert np.isfinite(R[~np.eye(m, dtype=bool)]).all()
+    thresholds = ConsistencyThresholds()
+    assert thresholds.reject_mean <= consistency._masked_mean(R, list(range(m))) < thresholds.robust_mean
+    tracemalloc.start()
+    try:
+        _, removed = consistency._prune(R, tuple(range(m)), thresholds.member_min)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert removed
+    assert peak < 1.5 * 8 * m * m
